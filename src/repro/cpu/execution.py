@@ -14,12 +14,16 @@ the pipeline for its ``cycles`` and contributes its ``current`` during
 that occupancy, with a one-pole low-pass smoothing that stands in for
 pipeline overlap and the package's local decoupling.
 
-Waveform synthesis is fully vectorized: one loop traversal is assembled
-from precomputed per-class (occupancy, level) signatures with
-``np.repeat`` and tiled across the window, and the smoothing filter runs
-as a blocked parallel scan. :meth:`ExecutionModel.waveform_block` stacks
-the waveforms of a whole batch of loops -- the GA's batched fitness path
--- with every row bit-identical to the serial :meth:`profile` output.
+A loop's raw waveform is one traversal (its *pass*, ``P`` cycles) tiled
+across the window, so the filtered waveform has a closed form: the
+periodic steady state ``S`` of one pass plus a decaying start-up
+transient, ``y[i] = S[i mod P] + beta**(i+1) * (x[0] - S[P-1])``. The
+filter therefore touches one pass per loop, never the whole window, and
+needs no matrix product (see :func:`_periodic_lowpass`).
+:meth:`ExecutionModel.waveform_block` evaluates this for a whole cohort
+of loops at once -- the GA's batched fitness path -- and :meth:`profile`
+runs the same kernel on a cohort of one, so every row of a block is
+bit-identical to the serial waveform.
 """
 
 from __future__ import annotations
@@ -47,9 +51,8 @@ STATIC_CURRENT = 0.05
 #: resonant component of the waveform survives.
 SMOOTHING_CYCLES = 4.0
 
-#: Per-class synthesis signatures, precomputed once: pipeline occupancy
-#: in whole cycles and the waveform level held during that occupancy.
-_CLASS_INDEX = {klass: i for i, klass in enumerate(INSTRUCTION_SPECS)}
+#: Per-class synthesis signatures, indexed by class code: pipeline
+#: occupancy in whole cycles and the waveform level held during it.
 _CLASS_OCCUPANCY = np.array(
     [max(1, round(spec.cycles)) for spec in INSTRUCTION_SPECS.values()],
     dtype=np.intp)
@@ -57,11 +60,9 @@ _CLASS_LEVEL = np.array(
     [STATIC_CURRENT + (1.0 - STATIC_CURRENT) * spec.current
      for spec in INSTRUCTION_SPECS.values()])
 
-#: Block size of the low-pass parallel scan. The per-row kernel shape is
-#: fixed by this constant (never by the batch size), so a waveform's
-#: filtered samples are bit-identical whether it is smoothed alone or as
-#: one row of a batch.
-_SCAN_CHUNK = 128
+#: Weight below which the filter's start-up transient is dropped: past
+#: it, the transient moves no sample by more than 2**-64.
+_NEGLIGIBLE = 2.0 ** -64
 
 
 @dataclass(frozen=True)
@@ -127,28 +128,39 @@ class ExecutionModel:
 
     def raw_waveform(self, loop: InstructionLoop) -> np.ndarray:
         """Unsmoothed per-cycle current over one window (values [0,1])."""
-        idx = np.fromiter((_CLASS_INDEX[k] for k in loop.body),
-                          dtype=np.intp, count=len(loop))
-        one_pass = np.repeat(_CLASS_LEVEL[idx], _CLASS_OCCUPANCY[idx])
+        one_pass = np.repeat(_CLASS_LEVEL[loop.codes], _CLASS_OCCUPANCY[loop.codes])
         repeats = -(-self.window_cycles // len(one_pass))  # ceil division
         return np.tile(one_pass, repeats)[: self.window_cycles]
 
     def smoothed_waveform(self, loop: InstructionLoop) -> np.ndarray:
         """The filtered per-cycle waveform (the :meth:`profile` waveform
-        without the counter computation -- the fitness hot path)."""
-        return _one_pole_lowpass(self.raw_waveform(loop), SMOOTHING_CYCLES)
+        without the counter computation)."""
+        return self.waveform_block([loop])[0]
 
     def waveform_block(self, loops: Sequence[InstructionLoop]) -> np.ndarray:
         """Stacked smoothed waveforms of ``loops``, shape ``(N, window)``.
 
-        Row ``i`` is bit-identical to ``profile(loops[i]).waveform``:
-        synthesis and smoothing run per row with batch-size-independent
-        kernels, so batched and serial fitness evaluations agree exactly
-        (the property ``tests/test_em_batch.py`` asserts).
+        The cohort's cached class codes are concatenated into one flat
+        array of (level, occupancy) steps and filtered in closed form by
+        :func:`_periodic_lowpass`, with no per-loop kernel call. That
+        kernel never mixes rows, so row ``i`` is bit-identical to
+        ``profile(loops[i]).waveform`` at any cohort size or order (the
+        property ``tests/test_em_batch.py`` asserts).
         """
-        if not loops:
-            return np.empty((0, self.window_cycles))
-        return np.stack([self.smoothed_waveform(loop) for loop in loops])
+        n_loops, window = len(loops), self.window_cycles
+        if not n_loops:
+            return np.empty((0, window))
+        lengths = np.fromiter(map(len, loops), dtype=np.intp, count=n_loops)
+        codes = np.concatenate([loop.codes for loop in loops])
+        levels = _CLASS_LEVEL[codes]
+        out = _periodic_lowpass(levels, _CLASS_OCCUPANCY[codes], lengths, window,
+                                SMOOTHING_CYCLES)
+        # The output is a convex combination of input levels; clamp the
+        # ~1-ulp excursions rounding can introduce.
+        starts = np.cumsum(lengths) - lengths
+        low = np.minimum.reduceat(levels, starts)[:, None]
+        high = np.maximum.reduceat(levels, starts)[:, None]
+        return np.clip(out, low, high, out=out)
 
     def profile(self, loop: InstructionLoop) -> ExecutionProfile:
         """Simulate ``loop`` and return waveform + counters."""
@@ -191,50 +203,70 @@ class ExecutionModel:
 
 
 @lru_cache(maxsize=8)
-def _scan_kernel(tau_cycles: float, chunk: int):
-    """Precomputed blocked-scan operators for one smoothing constant.
+def _decay(beta: float, window: int) -> np.ndarray:
+    """``beta**(t+1)`` for ``t < window`` (read-only, shared)."""
+    decay = beta ** np.arange(1.0, window + 1.0)
+    decay.setflags(write=False)
+    return decay
 
-    ``toeplitz[i, k] = beta**(i-k)`` (lower-triangular) turns the intra-
-    chunk recurrence into one matmul; ``powers[i] = beta**(i+1)`` carries
-    the pre-chunk filter state across the chunk.
+
+def _periodic_lowpass(levels: np.ndarray, occupancy: np.ndarray,
+                      lengths: np.ndarray, window: int,
+                      tau_cycles: float) -> np.ndarray:
+    """First-order IIR low-pass of looped step signals, in closed form.
+
+    Row ``i`` of the input signal is a loop of ``lengths[i]`` steps, step
+    ``k`` holding ``levels[k]`` for ``occupancy[k]`` samples (the arrays
+    concatenate all rows' steps); one pass is ``P`` samples and is tiled
+    to ``window`` samples. The filter is ``y[t] = beta * y[t-1] + alpha *
+    x[t]``, primed with ``y[-1] = x[0]``, and its output is the periodic
+    steady state ``S`` plus a geometric start-up transient::
+
+        y[t] = S[t mod P] + beta**(t+1) * (x[0] - S[P-1])
+
+    Over a step of level ``v`` held for ``c`` samples the filter state
+    maps affinely, ``s -> beta**c * s + (1 - beta**c) * v``. One doubling
+    scan of these maps over each loop's steps (``log2`` of the longest
+    loop rounds, masked at loop starts) gives the zero-state response
+    ``L`` at every step's exit and ``beta`` to the cycles elapsed so far.
+    The steady state closes the period, ``S[P-1] = L[P-1] / (1 -
+    beta**P)``, and inside a step it relaxes from its entry state ``e``
+    towards ``v`` as ``v + (e - v) * beta**(j+1)``. ``S`` is then tiled
+    into the window by doubling copies. Every operation reads only its
+    own row, so a row's output never depends on the other rows.
     """
     alpha = 1.0 / (1.0 + tau_cycles)
     beta = 1.0 - alpha
-    steps = np.arange(chunk)
-    lags = steps[:, None] - steps[None, :]
-    toeplitz = np.where(lags >= 0, beta ** np.abs(lags), 0.0)
-    powers = beta ** np.arange(1, chunk + 1)
-    toeplitz.setflags(write=False)
-    powers.setflags(write=False)
-    return alpha, toeplitz, powers
-
-
-def _one_pole_lowpass(signal: np.ndarray, tau_cycles: float) -> np.ndarray:
-    """First-order IIR low-pass as a blocked parallel scan.
-
-    Computes ``y[i] = beta * y[i-1] + alpha * x[i]`` (primed with
-    ``y[-1] = x[0]``) without a per-sample Python loop: each chunk's
-    response to its own input is one matmul against a precomputed
-    lower-triangular Toeplitz operator, and the carried filter state is
-    a short scalar recurrence over chunk boundaries.
-    """
-    x = np.asarray(signal, dtype=float)
-    n = x.shape[-1]
-    alpha, toeplitz, powers = _scan_kernel(tau_cycles, _SCAN_CHUNK)
-    pad = (-n) % _SCAN_CHUNK
-    padded = np.concatenate([x, np.zeros(pad)]) if pad else x
-    chunks = padded.reshape(-1, _SCAN_CHUNK)
-    local = alpha * (chunks @ toeplitz.T)
-    # Carry the filter state across chunks: carry into chunk c+1 is the
-    # last sample of chunk c, itself local response + decayed carry.
-    decay = powers[-1]
-    carries = np.empty(len(chunks))
-    carry = float(x[0])
-    for c in range(len(chunks)):
-        carries[c] = carry
-        carry = local[c, -1] + decay * carry
-    out = local + powers * carries[:, None]
-    # The filter output is a convex combination of input samples, so it
-    # can never legitimately leave the input's range; clamp the ~1-ulp
-    # excursions the Toeplitz matmul's rounding can introduce.
-    return np.clip(out.reshape(-1)[:n], x.min(), x.max())
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    position = np.arange(levels.size) - np.repeat(starts, lengths)
+    gain = beta ** occupancy
+    state = (1.0 - gain) * levels
+    lag = 1
+    while lag < lengths.max():
+        inside = position[lag:] >= lag
+        state[lag:] += np.where(inside, gain[lag:] * state[:-lag], 0.0)
+        gain[lag:] *= np.where(inside, gain[:-lag], 1.0)
+        lag *= 2
+    steady_end = state[ends - 1] / (1.0 - gain[ends - 1])
+    exit_state = state + gain * np.repeat(steady_end, lengths)
+    entry = np.empty_like(exit_state)
+    entry[1:] = exit_state[:-1]
+    entry[starts] = steady_end
+    decay = _decay(beta, max(window, int(occupancy.max())))
+    step_start = np.cumsum(occupancy) - occupancy
+    cycle = np.arange(int(occupancy.sum())) - np.repeat(step_start, occupancy)
+    steady = np.repeat(levels, occupancy) \
+        + np.repeat(entry - levels, occupancy) * decay[cycle]
+    periods = np.add.reduceat(occupancy, starts)
+    out = np.empty((len(lengths), window))
+    for row, start, length in zip(out, (np.cumsum(periods) - periods).tolist(),
+                                  np.minimum(periods, window).tolist()):
+        row[:length] = steady[start:start + length]
+        while length < window:
+            step = min(length, window - length)
+            row[length:length + step] = row[:step]
+            length += step
+    settle = int(np.count_nonzero(decay[:window] > _NEGLIGIBLE))
+    out[:, :settle] += decay[:settle] * (levels[starts] - steady_end)[:, None]
+    return out

@@ -102,8 +102,15 @@ INSTRUCTION_SPECS: Dict[InstrClass, InstructionSpec] = {
     InstrClass.SERIALIZE: InstructionSpec(InstrClass.SERIALIZE, 0.10, 6.0, False, False, 0.15),
 }
 
+#: Every class in signature-table order. A class's *code* is its index
+#: here; loops cache their bodies as arrays of these codes.
+CLASSES: Tuple[InstrClass, ...] = tuple(INSTRUCTION_SPECS)
+
+#: Class -> code, the inverse of :data:`CLASSES`.
+CLASS_CODE: Dict[InstrClass, int] = {klass: i for i, klass in enumerate(CLASSES)}
+
 #: Classes available to the genetic virus search (its genome alphabet).
-GA_ALPHABET: Tuple[InstrClass, ...] = tuple(INSTRUCTION_SPECS)
+GA_ALPHABET: Tuple[InstrClass, ...] = CLASSES
 
 #: The lowest/highest steady-state currents achievable with single-class
 #: loops -- the theoretical swing bounds for any instruction sequence.

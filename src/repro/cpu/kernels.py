@@ -4,14 +4,23 @@ An :class:`InstructionLoop` is a finite sequence of instruction classes
 executed repeatedly -- exactly what the paper's GA evolves ("a loop of
 instructions that maximizes radiated EM amplitude") and what the
 component micro-viruses hand-craft.
+
+A loop caches its body as an array of integer class codes (see
+:data:`repro.cpu.isa.CLASSES`) and as the bytes of that array: the
+execution model synthesizes waveforms from the codes, the GA's operators
+work on them, and the EM fitness memoizes on the bytes -- none of them
+hashes an enum member per instruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Tuple
 
-from repro.cpu.isa import InstrClass, spec_of
+import numpy as np
+
+from repro.cpu.isa import CLASS_CODE, CLASSES, InstrClass, spec_of
 from repro.errors import ConfigurationError
 
 #: Loop-body length bounds accepted by the execution model and the GA.
@@ -40,6 +49,28 @@ class InstructionLoop:
     def of(cls, classes: Iterable[InstrClass]) -> "InstructionLoop":
         """Build a loop from any iterable of instruction classes."""
         return cls(tuple(classes))
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray) -> "InstructionLoop":
+        """Build a loop from an array of class codes, caching the array."""
+        codes = np.array(codes, dtype=np.uint8)
+        loop = cls(tuple(map(CLASSES.__getitem__, codes.tolist())))
+        codes.setflags(write=False)
+        loop.__dict__["codes"] = codes
+        return loop
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """The body as a read-only ``uint8`` array of class codes."""
+        codes = np.fromiter(map(CLASS_CODE.__getitem__, self.body),
+                            dtype=np.uint8, count=len(self.body))
+        codes.setflags(write=False)
+        return codes
+
+    @cached_property
+    def key(self) -> bytes:
+        """Compact value key of the body (equal loops, equal keys)."""
+        return self.codes.tobytes()
 
     def __len__(self) -> int:
         return len(self.body)

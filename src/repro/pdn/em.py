@@ -18,13 +18,16 @@ band-limit around the resonance and measurement noise, so the proxy is
 strong but imperfect, as in reality. ``tests/test_em_proxy.py``
 quantifies the correlation.
 
-Measurement noise follows a *counter-based* protocol: read ``r`` of
-evaluation ``e`` draws from ``substream(seed, "em-read", e, r)``, where
-``e`` is a per-sensor evaluation counter. Each logical measurement
-(:meth:`EmSensor.measure` / :meth:`EmSensor.measure_averaged`) consumes
-one counter value and :meth:`EmSensor.measure_block` consumes one per
-stacked waveform, so a block measurement of N waveforms is bit-identical
-to N serial measurements -- the property that lets the GA batch its
+Measurement noise follows a *counter-based* protocol: the noise of read
+``r`` of evaluation ``e`` is a pure function of ``(seed, "em-read", e,
+r)``. The sensor draws a 128-bit key once from ``substream(seed,
+"em-read")``; the read is then the keyed Philox value at counter
+``(e, r)`` (:func:`repro.rand.counter_normals`), where ``e`` is a
+per-sensor evaluation counter. Every read goes through
+:meth:`EmSensor.read_block`, which scores a whole cohort of evaluations
+with one generator build per repeat. Each logical measurement consumes
+one counter value, so a block of N evaluations is bit-identical to N
+serial ones by construction -- the property that lets the GA batch its
 fitness evaluations without perturbing a single result.
 """
 
@@ -37,7 +40,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.pdn.rlc import DEFAULT_PDN, PdnModel
-from repro.rand import DEFAULT_SEED, SeedLike, substream
+from repro.rand import SeedLike, counter_normals, substream
 
 
 @dataclass(frozen=True)
@@ -66,9 +69,9 @@ class EmSensor:
         Additive measurement noise sigma, relative units. Real EM
         measurements are noisy; the GA must average across reads.
     seed:
-        Seed of the counter-based measurement-noise protocol. An integer
-        (or ``None``) keys the protocol directly; a live generator
-        contributes one draw so the derived base stays stable for the
+        Seed of the counter-based measurement-noise protocol; the noise
+        key is drawn once from its ``"em-read"`` substream (a live
+        generator contributes one draw), so it stays fixed for the
         sensor's lifetime.
     """
 
@@ -79,29 +82,35 @@ class EmSensor:
         self.pdn = pdn or PdnModel(DEFAULT_PDN)
         self.bandwidth_hz = bandwidth_hz
         self.noise_floor = noise_floor
-        if isinstance(seed, np.random.Generator):
-            self._noise_seed = int(seed.integers(0, 2**31 - 1))
-        else:
-            self._noise_seed = DEFAULT_SEED if seed is None else int(seed)
+        self._noise_key = substream(seed, "em-read").integers(
+            2**64, size=2, dtype=np.uint64)
         #: Evaluation counter of the noise protocol: the next logical
-        #: measurement draws its reads from ``(seed, "em-read", counter, r)``.
+        #: measurement draws its reads at Philox counters ``(counter, r)``.
         self._next_eval = 0
-        self._window_cache: Dict[Tuple[int, float], np.ndarray] = {}
+        self._gain_cache: Dict[Tuple[int, float], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Deterministic (noise-free) part
     # ------------------------------------------------------------------
-    def _receiver_window(self, n: int, sample_rate_hz: float,
-                         freqs: np.ndarray) -> np.ndarray:
-        """Cached Gaussian receiver window for ``n``-point spectra."""
+    def _receiver_gain(self, n: int, sample_rate_hz: float,
+                       freqs: np.ndarray, impedance: np.ndarray) -> np.ndarray:
+        """Cached per-bin gain from ``|rfft(waveform)|`` to amplitude.
+
+        ``|Z(f)| * G(f) * 2 / n``, normalized by the peak impedance so a
+        full-swing resonant square wave reads ~1, with the DC bin zeroed
+        (the probe sees no DC, which is what subtracting the waveform's
+        mean would do).
+        """
         key = (n, sample_rate_hz)
-        window = self._window_cache.get(key)
-        if window is None:
+        gain = self._gain_cache.get(key)
+        if gain is None:
             f_res = self.pdn.params.resonant_freq_hz
             window = np.exp(-0.5 * ((freqs - f_res) / self.bandwidth_hz) ** 2)
-            window.setflags(write=False)
-            self._window_cache[key] = window
-        return window
+            gain = impedance * window * (2.0 / n / self.pdn.peak_impedance_ohm())
+            gain[0] = 0.0
+            gain.setflags(write=False)
+            self._gain_cache[key] = gain
+        return gain
 
     def clean_block(self, waveforms: np.ndarray, freq_ghz: float,
                     current_scale_a: float = 10.0
@@ -110,51 +119,58 @@ class EmSensor:
 
         ``waveforms`` is one waveform or an ``(N, n)`` stack of
         same-length waveforms; the whole stack goes through a single
-        ``np.fft.rfft(..., axis=-1)`` against the cached impedance curve
-        and receiver window. Per-row results are bit-identical at any
+        ``np.fft.rfft(..., axis=-1)`` and one multiply by the cached
+        receiver gain. The radiated spectrum ``|Z(w)| * I(w) * G(w)``
+        is linear in the current, and amplitudes are normalized by the
+        same ``current_scale_a`` that converts relative units to amperes,
+        so the scale cancels. Per-row results are bit-identical at any
         stack size, so callers may group however they like.
         """
         block = np.atleast_2d(np.asarray(waveforms, dtype=float))
         n = block.shape[-1]
         sample_rate_hz = freq_ghz * 1e9
         freqs, impedance = self.pdn.spectral_grid(n, sample_rate_hz)
-        window = self._receiver_window(n, sample_rate_hz, freqs)
-        current = (block - block.mean(axis=-1, keepdims=True)) * current_scale_a
-        spectrum = np.abs(np.fft.rfft(current, axis=-1)) / n * 2.0
-        radiated = impedance * spectrum * window
+        gain = self._receiver_gain(n, sample_rate_hz, freqs, impedance)
+        radiated = np.abs(np.fft.rfft(block, axis=-1)) * gain
         peak_idx = np.argmax(radiated, axis=-1)
-        rows = np.arange(block.shape[0])
-        # Normalize to convenient units (~1 for a full-swing resonant
-        # square wave at the resonance).
-        amplitudes = radiated[rows, peak_idx] / (
-            self.pdn.peak_impedance_ohm() * current_scale_a)
+        amplitudes = radiated[np.arange(block.shape[0]), peak_idx]
         return amplitudes, freqs[peak_idx]
 
     # ------------------------------------------------------------------
     # Counter-based receiver noise
     # ------------------------------------------------------------------
-    def _noise(self, eval_index: int, repeat: int) -> float:
-        """Receiver noise of read ``repeat`` within evaluation ``eval_index``."""
-        rng = substream(self._noise_seed, "em-read", eval_index, repeat)
-        return float(rng.normal(0.0, self.noise_floor))
+    def read_block(self, clean_amplitudes: np.ndarray,
+                   repeats: int = 1) -> np.ndarray:
+        """Noisy (averaged) readings of a block of noise-free amplitudes.
 
-    def read_amplitude(self, clean_amplitude: float, repeats: int = 1) -> float:
-        """Turn a noise-free amplitude into one noisy (averaged) reading.
-
-        Consumes exactly one evaluation counter value; the ``repeats``
-        reads are clamped at zero individually (a receiver cannot report
-        negative amplitude) and then averaged. Callers that memoize the
-        deterministic amplitude (the GA's batched fitness) still consume
-        counters one per evaluation, keeping them aligned with a fully
-        serial evaluator.
+        Entry ``i`` is evaluation ``counter + i``; the counter advances
+        by the block size. Each of the ``repeats`` reads is clamped at
+        zero (a receiver cannot report negative amplitude) and the reads
+        are averaged. Read ``r`` of the whole block is one
+        :func:`~repro.rand.counter_normals` call, and the rest is
+        elementwise, so any split of a block into smaller blocks (down
+        to serial :meth:`read_amplitude` calls) returns the same values.
         """
         if repeats < 1:
             raise ConfigurationError("repeats must be >= 1")
-        eval_index = self._next_eval
-        self._next_eval += 1
-        reads = [max(0.0, float(clean_amplitude) + self._noise(eval_index, r))
-                 for r in range(repeats)]
-        return float(np.mean(reads))
+        clean = np.asarray(clean_amplitudes, dtype=float).reshape(-1)
+        first = self._next_eval
+        self._next_eval += clean.size
+        total = np.zeros_like(clean)
+        for repeat in range(repeats):
+            noise = counter_normals(self._noise_key, first, clean.size, repeat)
+            total += np.maximum(0.0, clean + self.noise_floor * noise)
+        return total / repeats
+
+    def read_amplitude(self, clean_amplitude: float, repeats: int = 1) -> float:
+        """One noisy (averaged) reading: a :meth:`read_block` of one.
+
+        Consumes exactly one evaluation counter value. Callers that
+        memoize the deterministic amplitude (the GA's batched fitness)
+        still consume counters one per evaluation, keeping them aligned
+        with a fully serial evaluator.
+        """
+        return float(self.read_block(np.array([clean_amplitude]), repeats)[0])
 
     # ------------------------------------------------------------------
     # Measurement API
@@ -168,9 +184,7 @@ class EmSensor:
         resonance -- plus additive receiver noise. The reported peak
         frequency comes from the noise-free radiated spectrum.
         """
-        amplitudes, peaks = self.clean_block(waveform, freq_ghz, current_scale_a)
-        noisy = self.read_amplitude(float(amplitudes[0]), repeats=1)
-        return EmReading(amplitude=noisy, peak_freq_hz=float(peaks[0]))
+        return self.measure_block(waveform, freq_ghz, 1, current_scale_a)[0]
 
     def measure_averaged(self, waveform: np.ndarray, freq_ghz: float,
                          repeats: int = 4,
@@ -181,11 +195,7 @@ class EmSensor:
         (receiver noise only perturbs amplitude), so the reported
         resonance never depends on read ordering.
         """
-        if repeats < 1:
-            raise ConfigurationError("repeats must be >= 1")
-        amplitudes, peaks = self.clean_block(waveform, freq_ghz, current_scale_a)
-        noisy = self.read_amplitude(float(amplitudes[0]), repeats=repeats)
-        return EmReading(amplitude=noisy, peak_freq_hz=float(peaks[0]))
+        return self.measure_block(waveform, freq_ghz, repeats, current_scale_a)[0]
 
     def measure_block(self, waveforms: np.ndarray, freq_ghz: float,
                       repeats: int = 1,
@@ -193,17 +203,13 @@ class EmSensor:
         """Measure N stacked same-length waveforms in one spectral pass.
 
         Bit-identical to N serial :meth:`measure_averaged` calls with the
-        same ``repeats`` (and to :meth:`measure` when ``repeats == 1``):
-        the deterministic amplitudes come from one batched FFT whose rows
-        match the serial computation exactly, and row ``i`` consumes
-        evaluation counter ``counter + i`` -- the same noise a serial
-        caller would have drawn.
+        same ``repeats`` (and to :meth:`measure` when ``repeats == 1``),
+        which are blocks of one: the deterministic amplitudes come from
+        one batched FFT whose rows match the serial computation exactly,
+        and row ``i`` consumes evaluation counter ``counter + i`` through
+        :meth:`read_block` -- the same noise a serial caller would draw.
         """
-        if repeats < 1:
-            raise ConfigurationError("repeats must be >= 1")
         amplitudes, peaks = self.clean_block(waveforms, freq_ghz, current_scale_a)
-        return [
-            EmReading(amplitude=self.read_amplitude(float(amp), repeats=repeats),
-                      peak_freq_hz=float(peak))
-            for amp, peak in zip(amplitudes, peaks)
-        ]
+        noisy = self.read_block(amplitudes, repeats=repeats)
+        return [EmReading(amplitude=amp, peak_freq_hz=peak)
+                for amp, peak in zip(noisy.tolist(), peaks.tolist())]

@@ -5,9 +5,18 @@ Every stochastic component in the library draws from an explicit
 RNG, so a fixed experiment seed reproduces the same results bit-for-bit
 run-to-run -- the property the test suite asserts.
 
-The helpers here implement *named sub-streams*: a parent seed plus a
-string label yields an independent child generator, so adding a new
-consumer of randomness does not perturb the draws seen by existing ones.
+Two kinds of stream are provided:
+
+- *Named sub-streams* (:func:`substream`): a parent seed plus a string
+  label (and optional integer indices) yields an independent child
+  generator, so adding a new consumer of randomness does not perturb the
+  draws seen by existing ones. Each one costs a ``SeedSequence`` build.
+- *Counter-based draws* (:func:`counter_normals`): value ``i`` of lane
+  ``lane`` is a pure function of a 128-bit key and the counter ``(first
+  + i, lane)``, computed by numpy's keyed ``Philox`` bit generator. A
+  whole block of counters costs one generator build, and any split of
+  the block into smaller calls yields the same values -- the basis of
+  the EM sensor's batched == serial noise protocol.
 """
 
 from __future__ import annotations
@@ -43,11 +52,10 @@ def substream(seed: SeedLike, label: str, *indices: int,
 
     The derivation hashes the label (and any number of integer indices)
     into the seed sequence, so streams for different labels are
-    decorrelated and stable across library versions. Multi-index streams
-    are the basis of counter-based noise protocols: e.g. the EM sensor
-    draws read ``r`` of evaluation ``e`` from
-    ``substream(seed, "em-read", e, r)``, so a batched evaluator and a
-    serial one consume identical noise regardless of call grouping.
+    decorrelated and stable across library versions. Consumers that
+    need one value per counter (many cheap draws) should key a
+    :func:`counter_normals` stream from one substream instead of
+    building a substream per value.
     """
     base = seed if isinstance(seed, int) else DEFAULT_SEED if seed is None else None
     if base is None:
@@ -74,3 +82,19 @@ def derive_seed(seed: SeedLike, label: str, *indices: int) -> int:
     executes the arm or in what order.
     """
     return int(substream(seed, label, *indices).integers(0, 2**63 - 1))
+
+
+def counter_normals(key: np.ndarray, first: int, count: int,
+                    lane: int = 0) -> np.ndarray:
+    """Standard normals at counters ``first .. first + count - 1``.
+
+    Value ``i`` comes from the Philox4x64 block at counter ``(first + i
+    + 1, lane, 0, 0)`` under the 128-bit ``key`` (two ``uint64`` words):
+    its first two words go through the Box-Muller transform. Each value
+    depends only on ``(key, first + i, lane)``, so one call of ``count``
+    values equals any sequence of calls covering the same counters.
+    """
+    bits = np.random.Philox(key=key, counter=[first, lane, 0, 0]) \
+        .random_raw(4 * count).reshape(count, 4)
+    radius = np.sqrt(-2.0 * np.log(((bits[:, 0] >> 11) + 1) * 2.0 ** -53))
+    return radius * np.cos((bits[:, 1] >> 11) * (2.0 ** -53 * 2.0 * np.pi))

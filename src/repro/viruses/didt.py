@@ -11,18 +11,20 @@ provides the random-search baseline used by the ablation bench.
 
 Fitness evaluation is batched end to end: :class:`EmFitness` decomposes
 each evaluation into a deterministic (noise-free) amplitude -- memoized
-across generations and deduplicated within a batch -- plus
-counter-based receiver noise, so scoring a whole GA generation costs
-one stacked waveform synthesis and one batched FFT while remaining
-bit-identical to the serial path. Independent searches (per-chip
-Figure 7 arms, ablation arms) ship as picklable work units through
-:mod:`repro.core.parallel`.
+across generations on the genome's code bytes and deduplicated within a
+batch -- plus counter-based receiver noise, so scoring a whole GA
+generation costs one stacked waveform synthesis, one batched FFT and
+one noise block while remaining bit-identical to the serial path.
+Independent searches (per-chip Figure 7 arms, ablation arms) ship as
+picklable work units through :mod:`repro.core.parallel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cpu.execution import ExecutionModel
 from repro.cpu.isa import InstrClass
@@ -68,10 +70,11 @@ class EmFitness:
     radiated amplitude (a pure function of the genome) and the noise of
     read ``r`` within evaluation ``e`` comes from the sensor's
     counter-based protocol. ``clean`` is cached across generations and
-    computed once per distinct genome within a batch; noise is always
-    drawn per evaluation, so serial (:meth:`__call__`) and batched
-    (:meth:`batch`) scoring consume identical counters and return
-    identical values.
+    computed once per distinct genome within a batch (keyed on
+    :attr:`InstructionLoop.key`); noise is always drawn per evaluation
+    through :meth:`EmSensor.read_block`, so serial (:meth:`__call__`, a
+    batch of one) and batched (:meth:`batch`) scoring consume identical
+    counters and return identical values.
     """
 
     def __init__(self, exec_model: ExecutionModel, sensor: EmSensor,
@@ -80,7 +83,7 @@ class EmFitness:
         self.sensor = sensor
         self.freq_ghz = freq_ghz
         self.repeats = repeats
-        self._clean_cache: Dict[Tuple[InstrClass, ...], float] = {}
+        self._clean_cache: Dict[bytes, float] = {}
 
     def __call__(self, loop: InstructionLoop) -> float:
         """Serial entry point: one evaluation, one counter value."""
@@ -88,22 +91,17 @@ class EmFitness:
 
     def batch(self, loops: Sequence[InstructionLoop]) -> List[float]:
         """Score a whole cohort in one stacked waveform + FFT pass."""
-        loops = list(loops)
-        missing: List[InstructionLoop] = []
-        seen = set()
-        for loop in loops:
-            key = loop.body
-            if key not in self._clean_cache and key not in seen:
-                seen.add(key)
-                missing.append(loop)
+        keys = [loop.key for loop in loops]
+        missing: Dict[bytes, InstructionLoop] = {}
+        for key, loop in zip(keys, loops):
+            if key not in self._clean_cache:
+                missing.setdefault(key, loop)
         if missing:
-            block = self.exec_model.waveform_block(missing)
+            block = self.exec_model.waveform_block(list(missing.values()))
             amplitudes, _ = self.sensor.clean_block(block, self.freq_ghz)
-            for loop, amplitude in zip(missing, amplitudes):
-                self._clean_cache[loop.body] = float(amplitude)
-        return [self.sensor.read_amplitude(self._clean_cache[loop.body],
-                                           repeats=self.repeats)
-                for loop in loops]
+            self._clean_cache.update(zip(missing, amplitudes.tolist()))
+        clean = np.array([self._clean_cache[key] for key in keys])
+        return self.sensor.read_block(clean, self.repeats).tolist()
 
 
 class DidtSearch:

@@ -4,8 +4,12 @@ The paper (following references [8] and [14]) uses a GA to craft the
 instruction loop maximizing radiated EM amplitude. This module provides
 the search engine: tournament selection, one-point crossover on loop
 bodies, per-gene mutation with an alphabet swap / insert / delete mix,
-and elitism. The fitness function is injected, so the same engine serves
-the EM-guided dI/dt search and any ablation (e.g. droop-oracle fitness).
+and elitism. Genomes are handled as arrays of integer class codes
+(:attr:`InstructionLoop.codes`): the operators slice, concatenate and
+mask those arrays, and a mutation draws its per-gene swap mask in one
+vectorized call. The fitness function is injected, so the same engine
+serves the EM-guided dI/dt search and any ablation (e.g. droop-oracle
+fitness).
 
 The engine supports a batched evaluation mode: pass ``batch_fitness``
 and every generation is scored in one call instead of one call per
@@ -24,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.cpu.isa import GA_ALPHABET, InstrClass
+import numpy as np
+
+from repro.cpu.isa import CLASS_CODE, GA_ALPHABET, InstrClass
 from repro.cpu.kernels import MAX_LOOP_LEN, MIN_LOOP_LEN, InstructionLoop
 from repro.errors import SearchError
 from repro.rand import SeedLike, substream
@@ -98,40 +104,43 @@ class GeneticAlgorithm:
         self.batch_fitness = batch_fitness
         self.config = config
         self.alphabet = tuple(alphabet)
+        self._alphabet_codes = np.array([CLASS_CODE[k] for k in self.alphabet],
+                                        dtype=np.uint8)
         self._rng = substream(seed, "ga")
         self._evaluations = 0
 
     # ------------------------------------------------------------------
     # Genome operators
     # ------------------------------------------------------------------
+    def _random_genes(self, size: Optional[int] = None) -> np.ndarray:
+        """Class codes drawn uniformly from the alphabet."""
+        return self._alphabet_codes[self._rng.integers(len(self.alphabet), size=size)]
+
     def _random_loop(self) -> InstructionLoop:
         length = int(self._rng.integers(self.config.init_min_len,
                                         self.config.init_max_len + 1))
-        genes = [self.alphabet[int(i)]
-                 for i in self._rng.integers(len(self.alphabet), size=length)]
-        return InstructionLoop.of(genes)
+        return InstructionLoop.from_codes(self._random_genes(length))
 
     def _crossover(self, a: InstructionLoop, b: InstructionLoop) -> InstructionLoop:
         """One-point crossover, clamped to legal lengths."""
         cut_a = int(self._rng.integers(1, len(a)))
         cut_b = int(self._rng.integers(1, len(b)))
-        child = list(a.body[:cut_a]) + list(b.body[cut_b:])
+        child = np.concatenate([a.codes[:cut_a], b.codes[cut_b:]])
         if len(child) < MIN_LOOP_LEN:
-            child = list(a.body[:MIN_LOOP_LEN])
-        return InstructionLoop.of(child[:MAX_LOOP_LEN])
+            child = a.codes[:MIN_LOOP_LEN]
+        return InstructionLoop.from_codes(child[:MAX_LOOP_LEN])
 
     def _mutate(self, loop: InstructionLoop) -> InstructionLoop:
-        genes = list(loop.body)
-        for i in range(len(genes)):
-            if self._rng.random() < self.config.mutation_rate:
-                genes[i] = self.alphabet[int(self._rng.integers(len(self.alphabet)))]
+        genes = loop.codes.copy()
+        swap = self._rng.random(len(genes)) < self.config.mutation_rate
+        genes[swap] = self._random_genes(int(swap.sum()))
         if self._rng.random() < self.config.indel_rate:
             if self._rng.random() < 0.5 and len(genes) < MAX_LOOP_LEN:
                 pos = int(self._rng.integers(len(genes) + 1))
-                genes.insert(pos, self.alphabet[int(self._rng.integers(len(self.alphabet)))])
+                genes = np.insert(genes, pos, self._random_genes())
             elif len(genes) > MIN_LOOP_LEN:
-                genes.pop(int(self._rng.integers(len(genes))))
-        return InstructionLoop.of(genes)
+                genes = np.delete(genes, int(self._rng.integers(len(genes))))
+        return InstructionLoop.from_codes(genes)
 
     def _evaluate_all(self, loops: Sequence[InstructionLoop]) -> List[Individual]:
         """Score a cohort of genomes: one batched call when available.
@@ -155,7 +164,8 @@ class GeneticAlgorithm:
 
     def _tournament(self, population: List[Individual]) -> Individual:
         picks = self._rng.integers(len(population), size=self.config.tournament_size)
-        return max((population[int(i)] for i in picks), key=lambda ind: ind.fitness)
+        return max((population[i] for i in picks.tolist()),
+                   key=lambda ind: ind.fitness)
 
     # ------------------------------------------------------------------
     # Search

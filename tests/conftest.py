@@ -3,9 +3,20 @@
 Everything is seeded so the suite is fully deterministic; fixtures that
 are expensive to build (reference chips, evolved viruses, DRAM
 populations) are session-scoped.
+
+The per-test hang guard (the ``timeout`` ini value, or ``--timeout``)
+is enforced by pytest-timeout when it is installed. Without the plugin
+this conftest registers the same option and arms
+:func:`faulthandler.dump_traceback_later` around each test instead: a
+test that outlives the limit dumps every thread's traceback and ends the
+run with a non-zero exit, rather than wedging it.
 """
 
 from __future__ import annotations
+
+import faulthandler
+import os
+import sys
 
 import pytest
 
@@ -17,6 +28,46 @@ from repro.soc.corners import ProcessCorner
 from repro.soc.xgene2 import build_platform, build_reference_chips
 
 TEST_SEED = 1234
+
+
+def pytest_addoption(parser, pluginmanager):
+    if pluginmanager.hasplugin("timeout"):
+        return
+    parser.addini("timeout", "per-test wall-clock limit in seconds "
+                  "(faulthandler fallback; 0 disables)", default="0")
+    parser.addoption("--timeout", type=float, default=None,
+                     help="per-test wall-clock limit in seconds "
+                          "(faulthandler fallback; 0 disables)")
+
+
+def _fallback_timeout(config) -> float:
+    if config.pluginmanager.hasplugin("timeout"):
+        return 0.0
+    seconds = config.getoption("--timeout")
+    return float(config.getini("timeout") if seconds is None else seconds)
+
+
+#: A duplicate of the real stderr, taken before output capture redirects
+#: fd 2: the traceback dump must reach the terminal.
+_GUARD_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    if _fallback_timeout(config) > 0:
+        config.stash[_GUARD_FD] = os.dup(sys.stderr.fileno())
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    seconds = _fallback_timeout(item.config)
+    if seconds > 0:
+        faulthandler.dump_traceback_later(seconds, exit=True,
+                                          file=item.config.stash[_GUARD_FD])
+    try:
+        yield
+    finally:
+        if seconds > 0:
+            faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")
