@@ -145,10 +145,12 @@ def _scalar_scrub_bank(self, weak_map, temp_c, pattern=PatternKind.RANDOM,
                        now_s=0.0):
     """The seed's cell-at-a-time scrub (pre-vectorization).
 
-    Materializes one ``WeakCell`` per failing bit, groups words in a
-    Python dict, and runs the full SECDED encode + decode on every
-    corrupted word -- including the ~all-singles common case the
-    vectorized path settles from the truth table.
+    Materializes one ``WeakCell`` per failing bit, groups words by
+    (bank, row, word) in a Python dict, so a map spanning a device's
+    banks never merges two banks' words, and runs the full SECDED
+    encode + decode on every corrupted word -- including the
+    ~all-singles common case the vectorized path settles from the truth
+    table.
     """
     retention = weak_map.retention.params
     if pattern is PatternKind.ALL_ZEROS:
@@ -167,11 +169,11 @@ def _scalar_scrub_bank(self, weak_map, temp_c, pattern=PatternKind.RANDOM,
                                 else c.row)) % 2 == (0 if c.is_true_cell else 1)]
     by_word = defaultdict(list)
     for cell in failing:
-        by_word[(cell.row, cell.col // WORD_DATA_BITS)].append(
+        by_word[(cell.bank, cell.row, cell.col // WORD_DATA_BITS)].append(
             cell.col % WORD_DATA_BITS)
     code = SecdedCode()
     corrected = uncorrectable = miscorrected = 0
-    for (_row, _word), bits in sorted(by_word.items()):
+    for _word, bits in sorted(by_word.items()):
         corrupted = code.flip_bits(code.encode(0), sorted(set(bits)))
         result = code.decode_with_truth(corrupted, 0)
         if result.status is DecodeStatus.CORRECTED:

@@ -11,7 +11,7 @@ package provides the simulated equivalent:
   (lognormal weak tail with Arrhenius temperature acceleration and
   data-pattern dependence), following the structure established by Liu
   et al. [19];
-- :mod:`repro.dram.cells` -- lazily-sampled weak-cell maps per bank;
+- :mod:`repro.dram.cells` -- lazily-sampled weak-cell maps, a device at a time;
 - :mod:`repro.dram.refresh` -- refresh scheduling, including inherent
   refresh from workload row accesses;
 - :mod:`repro.dram.ecc` -- a real (72,64) SECDED Hamming code;

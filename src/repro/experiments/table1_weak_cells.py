@@ -158,11 +158,12 @@ def _profile_device_chunk(task: Tuple[int, Tuple[int, ...], Tuple[float, ...]]
                                                  List[ScrubResult]]]:
     """Worker body: profile a contiguous chunk of devices.
 
-    Rebuilds the device population from the integer seed (every bank's
-    weak-cell map draws from a ``weakcells-d{dev}-b{bank}`` substream, so
-    a bank samples identically in any process) and returns, per
-    temperature, the chunk's bank totals, per-device totals, and SECDED
-    scrub results in device order.
+    Rebuilds the device population from the integer seed (every bank
+    draws from a ``weakcells-d{dev}-b{bank}`` substream, so a bank
+    samples identically in any process) and returns, per temperature,
+    the chunk's bank totals, per-device totals, and SECDED scrub results
+    in device order. A device is the unit of work: one population query
+    and one scrub over all its banks per temperature.
     """
     seed, devices, temps = task
     geometry = DEFAULT_GEOMETRY
@@ -180,9 +181,8 @@ def _profile_device_chunk(task: Tuple[int, Tuple[int, ...], Tuple[float, ...]]
             chip_totals.append(sum(per_bank))
             for bank, value in enumerate(per_bank):
                 bank_totals[bank] += value
-            for bank in range(geometry.banks_per_device):
-                device_scrubs.append(
-                    mcu.scrub_bank(population.bank_map(dev, bank), temp))
+            device_scrubs.append(
+                mcu.scrub_bank(population.device_map(dev), temp))
         out[temp] = (bank_totals, chip_totals, device_scrubs)
     return out
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.rand import SeedLike
+from repro.rand import SeedLike, derive_seed
 from repro.simkit import Simulator
 from repro.thermal.monitor import (
     MonitorParams,
@@ -121,8 +121,12 @@ class ThermalTestbed:
         self.pids = [PidController(cfg.setpoint_c, cfg.gains) for cfg in configs]
         self.relays = [SolidStateRelay(max_power_w=cfg.plant.heater_max_w)
                        for cfg in configs]
+        # One noise stream per zone: a shared seed would make every
+        # zone's thermocouple read the same noise sequence.
         self.thermocouples = [
-            Thermocouple(source=plant_reader(p), seed=seed) for p in self.plants
+            Thermocouple(source=plant_reader(p),
+                         seed=derive_seed(seed, "thermocouple-zone", zone))
+            for zone, p in enumerate(self.plants)
         ]
         self.spd_sensors = [SpdSensor(source=plant_reader(p)) for p in self.plants]
         self.monitors = [

@@ -69,3 +69,15 @@ def test_regulation_deterministic():
     b = ThermalTestbed([ZoneConfig(setpoint_c=55.0)], seed=9).run(800.0)[0]
     assert a.final_c == b.final_c
     assert a.samples == b.samples
+
+
+def test_zone_thermocouples_draw_independent_noise():
+    """Identical zones must not share one thermocouple noise stream."""
+    testbed = ThermalTestbed([ZoneConfig(setpoint_c=50.0) for _ in range(8)],
+                             seed=5)
+    reads = [tuple(tc.read_c() for _ in range(20))
+             for tc in testbed.thermocouples]
+    assert len(set(reads)) == len(reads)
+    testbed.run(300.0)
+    finals = {report.final_c for report in testbed.run(1.0)}
+    assert len(finals) > 1
