@@ -4,23 +4,20 @@ Usage::
 
     python -m repro list
     python -m repro run fig4 [--seed N] [--fast] [--jobs N] [--faults N]
-                             [--real-faults N] [--unit-timeout S]
-                             [--max-retries N]
+                             [--unit-timeout S] [--max-retries N]
     python -m repro run all  [--seed N] [--fast] [--jobs N]
     python -m repro run table1 [--thermal-faults N]
-    python -m repro pipeline [--jobs N] [--faults N] [--real-faults N]
-                             [--resume DIR]
+    python -m repro pipeline [--jobs N] [--faults N] [--resume DIR]
 
 ``--fast`` trims repetitions/GA budgets for a quick smoke pass;
 ``--jobs`` fans the shardable experiments (fig4/fig6/fig7/table1) out
 across worker processes -- results are bit-identical at any worker
-count. ``--faults SEED`` injects a deterministic *simulated*
-worker-failure schedule into the shardable experiments and
-``--real-faults SEED`` a schedule of *real* process-level faults
-(worker ``os._exit``, deadline hangs) the supervised engine recovers
-from -- either way, results are unchanged. ``--unit-timeout`` and
-``--max-retries`` tune the supervisor's per-unit deadline and retry
-budget (see :mod:`repro.core.supervisor`). ``--thermal-faults SEED``
+count. ``--faults SEED`` injects a deterministic schedule of worker
+crashes (a real ``os._exit``) and hangs (a real sleep) into the
+shardable experiments; the supervised engine recovers and results are
+unchanged. ``--unit-timeout`` and ``--max-retries`` tune the
+supervisor's per-unit deadline and retry budget (see
+:mod:`repro.core.supervisor`). ``--thermal-faults SEED``
 injects a deterministic *thermal rig* fault schedule (stuck/drifting
 thermocouples, SPD timeouts, relay/heater failures, ambient steps) into
 the DRAM experiments' regulated measurement chain: recoverable faults
@@ -29,9 +26,8 @@ clean run; unrecoverable ones surface as typed zone quarantines. The
 default settings match the benches.
 
 ``pipeline`` exercises the full execution -> transport -> cloud result
-pipeline under injected faults and checkpoint/resume; an interrupted
-study exits with code 3 and resumes from ``--resume DIR``, skipping
-both completed and quarantined shards.
+pipeline under injected faults and checkpoint/resume: a rerun with the
+same ``--resume DIR`` skips both completed and quarantined shards.
 
 Experiment ids come from :data:`repro.experiments.REGISTRY`; the lambdas
 below only adapt per-experiment budget knobs to the shared flags.
@@ -92,7 +88,6 @@ def _experiments() -> Dict[str, Callable]:
 def _supervision_kwargs(args) -> Dict[str, object]:
     """The supervised-execution knobs shared by ``run`` and ``pipeline``."""
     return {
-        "real_faults": args.real_faults,
         "unit_timeout": args.unit_timeout,
         "max_retries": args.max_retries,
     }
@@ -101,12 +96,6 @@ def _supervision_kwargs(args) -> Dict[str, object]:
 def _add_supervision_flags(parser) -> None:
     from repro.core.supervisor import DEFAULT_MAX_RETRIES
 
-    parser.add_argument("--real-faults", type=int, default=None,
-                        metavar="SEED",
-                        help="inject a deterministic schedule of REAL "
-                        "process-level faults (worker os._exit, deadline "
-                        "hangs) seeded by SEED; the supervised engine "
-                        "recovers and results are unchanged")
     parser.add_argument("--unit-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-unit supervision deadline: a work unit "
@@ -122,30 +111,19 @@ def _add_supervision_flags(parser) -> None:
 
 
 def _run_pipeline(args) -> int:
-    from repro.errors import CampaignInterrupted
     from repro.experiments.pipeline import run_pipeline
 
-    try:
-        result = run_pipeline(
-            seed=args.seed,
-            benchmarks=2 if args.fast else 4,
-            repetitions=2 if args.fast else 3,
-            jobs=args.jobs,
-            transport=args.transport,
-            faults=args.faults,
-            resume_dir=args.resume,
-            out_csv=args.out,
-            **_supervision_kwargs(args),
-        )
-    except CampaignInterrupted as exc:
-        print(f"pipeline interrupted: {exc}", file=sys.stderr)
-        if args.resume:
-            print(f"rerun with --resume {args.resume} to finish the "
-                  "remaining shards", file=sys.stderr)
-        else:
-            print("rerun with --resume DIR to make interruptions "
-                  "recoverable", file=sys.stderr)
-        return 3
+    result = run_pipeline(
+        seed=args.seed,
+        benchmarks=2 if args.fast else 4,
+        repetitions=2 if args.fast else 3,
+        jobs=args.jobs,
+        transport=args.transport,
+        faults=args.faults,
+        resume_dir=args.resume,
+        out_csv=args.out,
+        **_supervision_kwargs(args),
+    )
     print(result.format())
     if args.out:
         print(f"cloud-side rows written to {args.out}")
@@ -169,9 +147,10 @@ def main(argv=None) -> int:
                         help="worker processes for the shardable "
                         "experiments (results identical at any count)")
     runner.add_argument("--faults", type=int, default=None, metavar="SEED",
-                        help="inject a deterministic worker-failure "
-                        "schedule seeded by SEED into the shardable "
-                        "experiments (results are unchanged)")
+                        help="inject a deterministic schedule of worker "
+                        "crashes and hangs seeded by SEED into the "
+                        "shardable experiments; the supervised engine "
+                        "recovers and results are unchanged")
     runner.add_argument("--thermal-faults", type=int, default=None,
                         metavar="SEED",
                         help="inject a deterministic thermal rig fault "
@@ -193,8 +172,8 @@ def main(argv=None) -> int:
                       default="network", help="lossy link to upload through")
     pipe.add_argument("--faults", type=int, default=None, metavar="SEED",
                       help="inject a deterministic fault schedule (worker "
-                      "kills, spurious escalations, transport bursts, "
-                      "study interruption) seeded by SEED")
+                      "crashes and hangs, transport corruption/loss "
+                      "bursts) seeded by SEED")
     _add_supervision_flags(pipe)
     pipe.add_argument("--resume", default=None, metavar="DIR",
                       help="checkpoint directory: completed and "

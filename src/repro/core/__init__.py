@@ -43,10 +43,10 @@ from repro.core.faults import (
     FaultInjector,
     FaultPlan,
     FaultStats,
-    PoisonError,
 )
 from repro.core.supervisor import (
     MapOutcome,
+    PoisonError,
     SupervisedPool,
     SupervisorStats,
     UnitFailure,

@@ -22,7 +22,7 @@ workload's own swing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -201,14 +201,6 @@ class CampaignExecutor:
             records.append(record)
             if stop_on_unsafe and not record.all_safe:
                 break
-        return records
-
-    def execute_all(self, campaigns: Iterable[Campaign],
-                    stop_on_unsafe: bool = False) -> List[RunRecord]:
-        """Execute several campaigns back to back."""
-        records: List[RunRecord] = []
-        for campaign in campaigns:
-            records.extend(self.execute_campaign(campaign, stop_on_unsafe))
         return records
 
 

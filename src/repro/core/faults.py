@@ -7,19 +7,17 @@ the final CSV. This module makes that guarantee *testable*: a
 :class:`FaultPlan` declares a reproducible schedule of harness-level
 faults and a :class:`FaultInjector` feeds it to the pipeline --
 
-- **worker kills**: a campaign shard's worker process dies before
-  reporting (the parallel engine must re-execute the shard);
-- **spurious watchdog escalations**: the watchdog wrongly power-cycles
-  the board mid-shard, losing the attempt's telemetry (again: retry);
+- **work-unit faults**, in the supervisor's own taxonomy: a
+  :data:`~repro.core.supervisor.CRASH` really calls ``os._exit`` in the
+  worker (breaking the whole pool), a :data:`~repro.core.supervisor.HANG`
+  really sleeps (past the supervision deadline when one is armed) and a
+  :data:`~repro.core.supervisor.POISON` raises -- exercising the
+  recovery machinery of :class:`repro.core.supervisor.SupervisedPool`
+  for real;
 - **transport corruption/loss bursts**: windows of uploaded rows whose
   first ``depth`` transmit attempts are forcibly corrupted
   (:class:`~repro.core.transport.SerialLink`) or dropped
   (:class:`~repro.core.transport.NetworkLink`);
-- **real process-level faults**: attempts that actually ``os._exit`` the
-  worker (breaking the whole pool), sleep past the supervision deadline,
-  or raise a poison exception -- exercising the *recovery machinery* of
-  :class:`repro.core.supervisor.SupervisedPool` for real instead of
-  simulating the loss;
 - **thermal rig faults**: time-scheduled sensor and actuator failures of
   the DRAM thermal testbed (stuck/drifting/dropped-out thermocouples,
   SPD read timeouts, welded-on and stuck-open relays, dead heater
@@ -38,23 +36,12 @@ deterministically.
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
+from repro.core.supervisor import CRASH, HANG, POISON
 from repro.errors import CampaignError
 from repro.rand import SeedLike, substream
-
-#: Fault kinds reported by :meth:`FaultInjector.shard_fault` and
-#: :meth:`FaultInjector.unit_fault`. The first two simulate a lost
-#: attempt inside a healthy worker; the ``UNIT_*`` kinds really happen
-#: in the worker process.
-WORKER_KILL = "worker-kill"
-SPURIOUS_ESCALATION = "spurious-escalation"
-UNIT_EXIT = "unit-exit"          #: worker calls ``os._exit`` mid-unit
-UNIT_HANG = "unit-hang"          #: worker sleeps past its deadline
-UNIT_POISON = "unit-poison"      #: worker raises :class:`PoisonError`
 
 #: Thermal-rig fault kinds consumed by :mod:`repro.thermal.faults`.
 TC_STUCK = "tc-stuck"            #: thermocouple freezes at its last reading
@@ -79,31 +66,6 @@ THERMAL_FAULT_KINDS = (THERMAL_SENSOR_KINDS | THERMAL_ACTUATOR_KINDS
 #: step is regulated out. Actuator faults leave the zone unable to hold
 #: its setpoint and always end in quarantine.
 RECOVERABLE_THERMAL_KINDS = THERMAL_SENSOR_KINDS | {AMBIENT_STEP}
-
-
-class PoisonError(CampaignError):
-    """The injected exception a poison work unit raises in its worker."""
-
-
-def run_injected_real_fault(directive: str, hang_seconds: float) -> str:
-    """Actually perform an injected fault inside a worker process.
-
-    Legacy directives (:data:`WORKER_KILL`, :data:`SPURIOUS_ESCALATION`)
-    only *report* the loss -- the worker stays healthy and the caller
-    returns a tagged envelope. The real kinds act: :data:`UNIT_EXIT`
-    never returns (the process dies and the pool breaks),
-    :data:`UNIT_HANG` sleeps ``hang_seconds`` (tripping the supervisor's
-    deadline when one is armed, else returning a marker that is charged
-    as a hang), and :data:`UNIT_POISON` raises :class:`PoisonError`.
-    """
-    if directive == UNIT_EXIT:
-        os._exit(13)
-    if directive == UNIT_HANG:
-        time.sleep(hang_seconds)
-        return UNIT_HANG
-    if directive == UNIT_POISON:
-        raise PoisonError("injected poison work unit")
-    return directive
 
 
 @dataclass(frozen=True)
@@ -221,25 +183,21 @@ class FaultPlan:
 
     Parameters
     ----------
-    shard_kills / shard_escalations:
-        ``(shard_index, count)`` pairs: the shard's first ``count``
-        attempts die as a killed worker / a spurious watchdog power
-        cycle. Both lose the attempt; they differ in what the stats
-        blame.
     corruption_bursts / loss_bursts:
         Row windows whose early transmit attempts are corrupted on the
         serial link / dropped on the network link.
     unit_exits / unit_hangs:
-        ``(unit_index, count)`` pairs of *real* process-level faults:
-        the unit's next ``count`` attempts (after any simulated losses)
-        really ``os._exit`` the worker / really sleep ``hang_seconds``.
-        Both charge the supervisor's retry budget, so keeping
+        ``(unit_index, count)`` pairs: the unit's first ``count``
+        attempts crash (the worker really calls ``os._exit``) / hang
+        (the worker really sleeps ``hang_seconds``), crashes first. Both
+        charge the supervisor's retry budget, so keeping
         ``exits + hangs <= max_retries`` per unit guarantees the plan
         converges to clean results.
     poison_units:
         Unit indices whose every attempt raises
-        :class:`PoisonError` -- these units exhaust their budget and are
-        deterministically quarantined as typed failures.
+        :class:`~repro.core.supervisor.PoisonError` -- these units
+        exhaust their budget and are deterministically quarantined as
+        typed failures.
     hang_seconds:
         How long an injected hang sleeps. Under a supervision deadline
         shorter than this the worker is terminated; without one the
@@ -247,15 +205,13 @@ class FaultPlan:
     interrupt_after_shards:
         Abort the whole study (``CampaignInterrupted``) once this many
         shards completed in one engine call -- the hook the
-        checkpoint/resume tests and the ``--resume`` CLI flow use.
+        checkpoint/resume tests use to stop a study part-way.
     thermal_faults:
         Time-scheduled :class:`ThermalFault` records applied to the
         thermal testbed by
         :class:`repro.thermal.faults.ThermalFaultInjector`.
     """
 
-    shard_kills: Tuple[Tuple[int, int], ...] = ()
-    shard_escalations: Tuple[Tuple[int, int], ...] = ()
     corruption_bursts: Tuple[FaultBurst, ...] = ()
     loss_bursts: Tuple[FaultBurst, ...] = ()
     unit_exits: Tuple[Tuple[int, int], ...] = ()
@@ -266,14 +222,12 @@ class FaultPlan:
     thermal_faults: Tuple[ThermalFault, ...] = ()
 
     def __post_init__(self) -> None:
-        for name, pairs in (("shard_kills", self.shard_kills),
-                            ("shard_escalations", self.shard_escalations),
-                            ("unit_exits", self.unit_exits),
+        for name, pairs in (("unit_exits", self.unit_exits),
                             ("unit_hangs", self.unit_hangs)):
-            for shard, count in pairs:
-                if shard < 0 or count < 1:
+            for unit, count in pairs:
+                if unit < 0 or count < 1:
                     raise CampaignError(
-                        f"{name} needs shard >= 0 and count >= 1")
+                        f"{name} needs unit >= 0 and count >= 1")
         if any(unit < 0 for unit in self.poison_units):
             raise CampaignError("poison_units needs unit indices >= 0")
         if self.hang_seconds <= 0:
@@ -298,60 +252,22 @@ class FaultPlan:
         return thermal_faults_recoverable(self.thermal_faults)
 
     @classmethod
-    def random(cls, seed: SeedLike, shards: int, rows: int = 0,
-               max_depth: int = 3,
-               interrupt_after_shards: Optional[int] = None) -> "FaultPlan":
-        """A seeded plan covering every fault kind.
+    def random(cls, seed: SeedLike, units: int, rows: int = 0,
+               poison_rate: float = 0.0) -> "FaultPlan":
+        """A seeded plan of crashes, hangs, poison units and bursts.
 
-        ``shards`` is the campaign count of the study; ``rows`` the
-        (approximate) number of rows the upload will push -- bursts are
-        placed inside that range. The same seed always produces the same
-        plan, so a faulted run is exactly reproducible.
-        """
-        if shards < 1:
-            raise CampaignError("a fault plan needs at least one shard")
-        rng = substream(seed, "fault-plan")
-        kills = tuple(
-            (shard, int(rng.integers(1, 3)))
-            for shard in range(shards) if rng.random() < 0.5)
-        escalations = tuple(
-            (shard, 1) for shard in range(shards) if rng.random() < 0.35)
-        corruption = []
-        loss = []
-        if rows > 0:
-            for bursts in (corruption, loss):
-                for _ in range(int(rng.integers(1, 4))):
-                    first = int(rng.integers(0, rows))
-                    length = int(rng.integers(1, max(2, rows // 4 + 1)))
-                    depth = int(rng.integers(1, max_depth + 1))
-                    bursts.append(FaultBurst(first, length, depth))
-        return cls(shard_kills=kills, shard_escalations=escalations,
-                   corruption_bursts=tuple(corruption),
-                   loss_bursts=tuple(loss),
-                   interrupt_after_shards=interrupt_after_shards)
-
-    @classmethod
-    def random_real(cls, seed: SeedLike, units: int,
-                    poison_rate: float = 0.0,
-                    hang_seconds: float = 0.25,
-                    thermal_zones: int = 0,
-                    thermal_unrecoverable_rate: float = 0.0) -> "FaultPlan":
-        """A seeded plan of *real* process-level faults.
-
-        Exit and hang counts are capped at the default supervision
-        budget (at most one of each per unit), so the plan always
-        converges: a supervised run finishes with results bit-identical
-        to a clean run, except for the units ``poison_rate`` dooms --
-        those are quarantined, deterministically, at any worker count.
-
-        ``thermal_zones > 0`` additionally folds a
-        :meth:`random_thermal` schedule over that many testbed zones
-        into the plan (unrecoverable actuator faults at
-        ``thermal_unrecoverable_rate``), so one seed can exercise the
-        supervision *and* the thermal fault-tolerance layers together.
+        ``units`` is the work-unit (shard) count of the study; ``rows``
+        the (approximate) number of rows the upload will push -- bursts
+        are placed inside that range. Crash and hang counts are capped
+        at the default supervision budget (at most one of each per
+        unit), so the plan always converges: a supervised run finishes
+        with results bit-identical to a clean run, except for the units
+        ``poison_rate`` dooms -- those are quarantined,
+        deterministically, at any worker count. The same seed always
+        produces the same plan.
         """
         if units < 1:
-            raise CampaignError("a real-fault plan needs at least one unit")
+            raise CampaignError("a fault plan needs at least one unit")
         if not 0.0 <= poison_rate <= 1.0:
             raise CampaignError("poison_rate must be within [0, 1]")
         rng = substream(seed, "real-fault-plan")
@@ -361,13 +277,19 @@ class FaultPlan:
                       if rng.random() < 0.25)
         poison = tuple(unit for unit in range(units)
                        if rng.random() < poison_rate)
-        thermal: Tuple[ThermalFault, ...] = ()
-        if thermal_zones > 0:
-            thermal = cls.random_thermal(
-                seed, zones=thermal_zones,
-                unrecoverable_rate=thermal_unrecoverable_rate).thermal_faults
+        corruption = []
+        loss = []
+        if rows > 0:
+            for bursts in (corruption, loss):
+                for _ in range(int(rng.integers(1, 4))):
+                    first = int(rng.integers(0, rows))
+                    length = int(rng.integers(1, max(2, rows // 4 + 1)))
+                    depth = int(rng.integers(1, 4))
+                    bursts.append(FaultBurst(first, length, depth))
+        # Short hangs keep a faulted run quick when no deadline is armed.
         return cls(unit_exits=exits, unit_hangs=hangs, poison_units=poison,
-                   hang_seconds=hang_seconds, thermal_faults=thermal)
+                   hang_seconds=0.25, corruption_bursts=tuple(corruption),
+                   loss_bursts=tuple(loss))
 
     @classmethod
     def random_thermal(cls, seed: SeedLike, zones: int = 8,
@@ -423,8 +345,6 @@ class FaultPlan:
 class FaultStats:
     """What the injector actually fired, for reporting."""
 
-    worker_kills: int = 0
-    spurious_escalations: int = 0
     corrupted_frames: int = 0
     dropped_packets: int = 0
     unit_exits: int = 0
@@ -436,8 +356,7 @@ class FaultStats:
 
     @property
     def total(self) -> int:
-        return (self.worker_kills + self.spurious_escalations
-                + self.corrupted_frames + self.dropped_packets
+        return (self.corrupted_frames + self.dropped_packets
                 + self.unit_exits + self.unit_hangs + self.poison_raises
                 + self.thermal_sensor_faults + self.thermal_actuator_faults
                 + self.thermal_disturbances)
@@ -463,30 +382,16 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.stats = FaultStats()
-        self._kills: Dict[int, int] = dict(plan.shard_kills)
-        self._escalations: Dict[int, int] = dict(plan.shard_escalations)
         self._exits: Dict[int, int] = dict(plan.unit_exits)
         self._hangs: Dict[int, int] = dict(plan.unit_hangs)
         self._poisoned = set(plan.poison_units)
         self._seen: Set[Tuple[int, int]] = set()
 
-    def shard_fault(self, shard_index: int, attempt: int) -> Optional[str]:
-        """Fate of one shard attempt: kill, escalation, or survival."""
-        kills = self._kills.get(shard_index, 0)
-        if attempt < kills:
-            self.stats.worker_kills += 1
-            return WORKER_KILL
-        if attempt < kills + self._escalations.get(shard_index, 0):
-            self.stats.spurious_escalations += 1
-            return SPURIOUS_ESCALATION
-        return None
-
     def unit_fault(self, unit_index: int, attempt: int) -> Optional[str]:
         """Fate of one *attributed* attempt of one supervised work unit.
 
-        Pure in ``(unit_index, attempt)``: simulated losses first (kills,
-        then escalations), then real worker exits, then real hangs, then
-        -- for poison units -- an unconditional poison raise. The
+        Pure in ``(unit_index, attempt)``: crashes first, then hangs,
+        then -- for poison units -- an unconditional poison raise. The
         supervisor consults the same attempt number again when an
         attempt is lost collaterally (another unit broke the shared
         pool), so stats are deduplicated on ``(unit, attempt)`` and the
@@ -494,25 +399,17 @@ class FaultInjector:
         """
         first = (unit_index, attempt) not in self._seen
         self._seen.add((unit_index, attempt))
-        kills = self._kills.get(unit_index, 0)
-        escalations = kills + self._escalations.get(unit_index, 0)
-        exits = escalations + self._exits.get(unit_index, 0)
+        exits = self._exits.get(unit_index, 0)
         hangs = exits + self._hangs.get(unit_index, 0)
-        if attempt < kills:
-            self.stats.worker_kills += first
-            return WORKER_KILL
-        if attempt < escalations:
-            self.stats.spurious_escalations += first
-            return SPURIOUS_ESCALATION
         if attempt < exits:
             self.stats.unit_exits += first
-            return UNIT_EXIT
+            return CRASH
         if attempt < hangs:
             self.stats.unit_hangs += first
-            return UNIT_HANG
+            return HANG
         if unit_index in self._poisoned:
             self.stats.poison_raises += first
-            return UNIT_POISON
+            return POISON
         return None
 
     def corrupt_frame(self, row_index: int, attempt: int) -> bool:

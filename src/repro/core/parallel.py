@@ -28,12 +28,14 @@ that really dies (``os._exit``, segfault, OOM kill), really hangs past
 its ``unit_timeout`` deadline, or raises is handled by pool rebuild +
 deterministic re-issue, with bounded retries and a typed
 :class:`~repro.core.supervisor.UnitFailure` quarantine instead of a raw
-``BrokenProcessPool`` escaping to the caller. Injected faults
-(:class:`~repro.core.faults.FaultInjector`) ride the same machinery, a
+``BrokenProcessPool`` escaping to the caller. Injected crashes, hangs
+and poison units (:class:`~repro.core.faults.FaultInjector`) really
+happen in the workers and ride the same machinery. A
 :class:`~repro.core.checkpoint.CampaignCheckpoint` persists every
-completed shard (and every quarantined one, as a typed manifest), so an
-interrupted ``--jobs N`` study resumes without re-executing finished
-shards -- and reproduces the same rows when it does.
+completed shard (and every quarantined one, as a typed manifest), so a
+rerun skips shards the checkpoint already holds and reproduces the same
+rows. Checkpoints are written only once the pool has returned, so a
+study killed mid-pool persists no shards.
 
 Seeds must be integers (or ``None``) for cross-process reproducibility:
 a live generator object cannot be re-derived identically on workers.
@@ -113,9 +115,8 @@ def parallel_map(fn: Callable[[_T], _R], items: Sequence[_T],
     Execution is supervised: a worker that really crashes, hangs past
     ``unit_timeout``, or raises is recovered by pool rebuild and
     deterministic re-issue (see :mod:`repro.core.supervisor`), and
-    injected faults from a ``fault_injector`` -- simulated kills and
-    escalations as well as real exits / hangs / poison raises -- ride
-    the same machinery. Since work units are deterministic, the
+    injected crashes / hangs / poison raises from a ``fault_injector``
+    ride the same machinery. Since work units are deterministic, the
     returned results are identical to an injector-free serial run. A
     unit that exhausts ``max_retries`` raises a typed
     :class:`~repro.errors.SupervisionError` carrying the quarantined
@@ -189,10 +190,9 @@ class ParallelCampaignExecutor:
         results are identical at every value.
     fault_injector:
         Optional :class:`~repro.core.faults.FaultInjector`; shard
-        attempts it dooms -- simulated worker kills and watchdog
-        escalations as well as *real* worker exits, deadline hangs and
-        poison raises -- are recovered by the supervisor, and its plan
-        may inject a study-level interruption
+        attempts it dooms -- worker crashes, hangs and poison raises --
+        are recovered by the supervisor, and its plan may inject a
+        study-level interruption
         (:class:`~repro.errors.CampaignInterrupted`).
     checkpoint:
         Optional :class:`~repro.core.checkpoint.CampaignCheckpoint`;
@@ -355,10 +355,3 @@ class ParallelCampaignExecutor:
             all_records.append(records)
             self.store.extend(rows)
         return all_records
-
-    def execute_all(self, campaigns: Iterable[Campaign],
-                    stop_on_unsafe: bool = False) -> List[RunRecord]:
-        """Flat-record variant mirroring the serial executor's API."""
-        return [record
-                for records in self.execute_campaigns(campaigns, stop_on_unsafe)
-                for record in records]

@@ -30,12 +30,12 @@ brings that property to our own process pool: where
   suspects re-run one at a time (attribution mode) until the culprit
   breaks the pool alone and is charged;
 - **graceful degradation** -- if the pool cannot be rebuilt, execution
-  falls back to inline serial mode (injected process-level faults are
-  simulated there, since a real ``os._exit`` would take down the
-  supervisor itself).
+  falls back to inline serial mode (injected faults are charged there
+  without being performed, since a real ``os._exit`` would take down
+  the supervisor itself).
 
 Because work units are deterministic and results are collected by unit
-index, a run under any real-fault schedule converges to results
+index, a run under any injected fault schedule converges to results
 bit-identical to a clean run, with quarantined units enumerated
 deterministically -- the property ``tests/test_supervisor.py`` locks
 down end to end.
@@ -43,25 +43,19 @@ down end to end.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.faults import (
-    SPURIOUS_ESCALATION,
-    UNIT_EXIT,
-    UNIT_HANG,
-    UNIT_POISON,
-    WORKER_KILL,
-    PoisonError,
-    run_injected_real_fault,
-)
 from repro.errors import CampaignError, SupervisionError
 
-#: Failure taxonomy reported by :class:`UnitFailure`.
+#: Failure taxonomy reported by :class:`UnitFailure`. CRASH, HANG and
+#: POISON are also the fault kinds a
+#: :class:`~repro.core.faults.FaultInjector` injects.
 CRASH = "crash"          #: the worker process died while running the unit
 HANG = "hang"            #: the unit ran past its deadline
 POISON = "poison"        #: the unit raised an exception
@@ -100,8 +94,8 @@ class AttemptRecord:
 
     index: int              #: unit index
     attempt: int            #: attributed attempt number at submission
-    outcome: str            #: "ok", a taxonomy kind, an injected fault
-    #: kind, or "pool-broken" for a collateral loss
+    outcome: str            #: "ok", a taxonomy kind, or "pool-broken"
+    #: for a collateral loss
     charged: bool = False   #: whether this outcome consumed retry budget
     detail: str = ""
 
@@ -159,6 +153,10 @@ class MapOutcome:
         return not self.failures
 
 
+class PoisonError(CampaignError):
+    """The injected exception a poison work unit raises in its worker."""
+
+
 @dataclass(frozen=True)
 class _UnitResult:
     """Tagged envelope a worker returns instead of the bare value.
@@ -174,19 +172,24 @@ class _UnitResult:
 
 
 def _supervised_unit(task):
-    """Worker body: execute one unit, honouring an injected fault.
+    """Worker body: execute one unit, or perform its injected fault.
 
     ``directive`` is the parent-computed injected fault for this attempt
-    (or ``None``): simulated losses (legacy worker kills / spurious
-    escalations) return a tagged envelope; *real* process-level faults
-    actually happen in this process -- ``os._exit``, a deadline-busting
-    sleep, a raised poison exception -- so the supervisor's recovery
-    machinery is exercised for real, not simulated.
+    (or ``None``), and it really happens in this process: :data:`CRASH`
+    calls ``os._exit`` (breaking the pool), :data:`HANG` sleeps
+    ``hang_seconds`` (tripping the deadline when one is armed, else
+    returning a hang marker) and :data:`POISON` raises
+    :class:`PoisonError` -- so the recovery machinery is exercised for
+    real, not simulated.
     """
     fn, item, directive, hang_seconds = task
-    if directive is not None:
-        marker = run_injected_real_fault(directive, hang_seconds)
-        return _UnitResult(ok=False, fault=marker)
+    if directive == CRASH:
+        os._exit(13)
+    if directive == HANG:
+        time.sleep(hang_seconds)
+        return _UnitResult(ok=False, fault=HANG)
+    if directive == POISON:
+        raise PoisonError("injected poison work unit")
     return _UnitResult(ok=True, value=fn(item))
 
 
@@ -199,9 +202,10 @@ class _UnitState:
     def __init__(self, index: int) -> None:
         self.index = index
         self.attempt = 0        # next injected-fault attempt to consult;
-        # advances on every *attributed* loss, never on collateral ones,
-        # so injected schedules replay identically at any worker count
-        self.charged = 0        # attributed real failures (retry budget)
+        # advances on every *charged* failure, never on collateral
+        # losses, so injected schedules replay identically at any
+        # worker count
+        self.charged = 0        # attributed failures (retry budget)
         self.last_kind = ""
         self.last_detail = ""
         self.submissions = 0
@@ -353,7 +357,7 @@ class SupervisedPool:
     # ------------------------------------------------------------------
     def _charge(self, state: _UnitState, kind: str, detail: str,
                 stats: SupervisorStats, ledger: List[AttemptRecord]) -> bool:
-        """Charge one attributed real failure; returns True on quarantine."""
+        """Charge one attributed failure; returns True on quarantine."""
         ledger.append(AttemptRecord(state.index, state.attempt, kind,
                                     charged=True, detail=detail))
         state.attempt += 1
@@ -374,24 +378,6 @@ class SupervisedPool:
             return True
         return False
 
-    def _free_loss(self, state: _UnitState, outcome: str,
-                   ledger: List[AttemptRecord], attributed: bool) -> None:
-        """Record an uncharged loss; attributed ones advance the injected
-        schedule, collateral ones replay the same attempt."""
-        ledger.append(AttemptRecord(state.index, state.attempt, outcome,
-                                    charged=False))
-        if attributed:
-            state.attempt += 1
-
-    @staticmethod
-    def _classify_injected(directive: str) -> Tuple[str, str]:
-        """Taxonomy kind + detail of a simulated injected real fault."""
-        if directive == UNIT_EXIT:
-            return CRASH, "injected worker os._exit (simulated inline)"
-        if directive == UNIT_HANG:
-            return HANG, "injected deadline hang (simulated inline)"
-        return POISON, "injected poison exception (simulated inline)"
-
     # ------------------------------------------------------------------
     # Inline (serial) execution -- jobs=1 and pool-degraded mode
     # ------------------------------------------------------------------
@@ -399,7 +385,7 @@ class SupervisedPool:
                     done, stats, ledger) -> None:
         """Serial reference path, also the degradation target.
 
-        Injected *real* faults are simulated here (an actual ``os._exit``
+        Injected faults are not performed here (an actual ``os._exit``
         would kill the supervisor itself; an actual sleep would stall
         it), but they are still charged and quarantined exactly as the
         pool observes them -- which is what keeps quarantine lists
@@ -413,12 +399,10 @@ class SupervisedPool:
                 if state.submissions > 0:
                     stats.retries += 1
                 state.submissions += 1
-                if directive in (WORKER_KILL, SPURIOUS_ESCALATION):
-                    self._free_loss(state, directive, ledger, attributed=True)
-                    continue
-                if directive in (UNIT_EXIT, UNIT_HANG, UNIT_POISON):
-                    kind, detail = self._classify_injected(directive)
-                    self._charge(state, kind, detail, stats, ledger)
+                if directive is not None:
+                    self._charge(state, directive,
+                                 f"injected {directive} (simulated inline)",
+                                 stats, ledger)
                     continue
                 try:
                     value = fn(items[index])
@@ -466,17 +450,18 @@ class SupervisedPool:
                                                 POOL_BROKEN, charged=False))
             return self._pool is not None
 
-        def rebuild_after(reason_losses: List[Tuple[int, bool]]) -> bool:
-            """Tear down + rebuild; re-queue lost units. Returns False when
-            the pool is unrecoverable (degradation already handled)."""
+        def rebuild_after(collateral: List[int]) -> bool:
+            """Tear down + rebuild, logging the units lost collaterally
+            (they replay the same attempt, free of charge). Returns False
+            when the pool is unrecoverable (degradation already
+            handled)."""
             nonlocal solo_active
             solo_active = False
             stats.rebuilds += 1
-            for index, attributed in reason_losses:
-                if not attributed:
-                    stats.collateral_losses += 1
-                    self._free_loss(states[index], POOL_BROKEN, ledger,
-                                    attributed=False)
+            for index in collateral:
+                stats.collateral_losses += 1
+                ledger.append(AttemptRecord(index, states[index].attempt,
+                                            POOL_BROKEN))
             self._teardown()
             if self._ensure_pool() is None:
                 degrade()
@@ -488,7 +473,7 @@ class SupervisedPool:
             collateral re-issue, then solo attribution runs."""
             in_flight.clear()
             suspects = sorted(set(suspects))
-            losses: List[Tuple[int, bool]] = []
+            losses: List[int] = []
             if len(suspects) == 1:
                 index = suspects[0]
                 quarantined = self._charge(
@@ -497,9 +482,8 @@ class SupervisedPool:
                 if not quarantined:
                     careful_q.append(index)
             else:
-                for index in suspects:
-                    losses.append((index, False))
-                    careful_q.append(index)
+                losses = suspects
+                careful_q.extend(suspects)
             careful = sorted(set(careful_q))
             careful_q.clear()
             careful_q.extend(careful)
@@ -509,7 +493,7 @@ class SupervisedPool:
             """Deadline overruns: charge the hung units, free-reissue the
             rest, and replace the wedged pool."""
             in_flight.clear()
-            losses = [(index, False) for index in sorted(set(collateral))]
+            losses = sorted(set(collateral))
             for index in sorted(set(expired)):
                 quarantined = self._charge(
                     states[index], HANG,
@@ -517,7 +501,7 @@ class SupervisedPool:
                     stats, ledger)
                 if not quarantined:
                     normal_q.appendleft(index)
-            for index in sorted(set(collateral), reverse=True):
+            for index in reversed(losses):
                 normal_q.appendleft(index)
             return rebuild_after(losses)
 
@@ -541,7 +525,7 @@ class SupervisedPool:
                 if done[index] or state.failure is not None:
                     continue
                 directive = inject(index, state.attempt) if inject else None
-                goes_solo = directive == UNIT_EXIT or queue is careful_q
+                goes_solo = directive == CRASH or queue is careful_q
                 if goes_solo and in_flight:
                     # Known-doomed or under-attribution attempts run alone
                     # so the coming pool break is attributable to them.
@@ -595,31 +579,20 @@ class SupervisedPool:
                 exc = future.exception()
                 if exc is None:
                     envelope = future.result()
-                    if isinstance(envelope, _UnitResult) and envelope.ok:
+                    solo_active = False
+                    if envelope.ok:
                         results[index] = envelope.value
                         done[index] = True
-                        solo_active = False
                         ledger.append(AttemptRecord(index, state.attempt,
                                                     "ok"))
-                    elif isinstance(envelope, _UnitResult) \
-                            and envelope.fault == UNIT_HANG:
+                    else:
                         # The injected sleep finished under the deadline:
                         # an attributed (charged) hang all the same.
-                        solo_active = False
-                        self._charge(state, HANG,
+                        self._charge(state, envelope.fault,
                                      "injected hang returned under the "
                                      "deadline", stats, ledger)
                         if state.failure is None:
                             normal_q.append(index)
-                    else:
-                        # Legacy simulated loss (worker kill / spurious
-                        # escalation): free re-issue, schedule advances.
-                        fault = envelope.fault if isinstance(
-                            envelope, _UnitResult) else WORKER_KILL
-                        solo_active = False
-                        self._free_loss(state, fault, ledger,
-                                        attributed=True)
-                        normal_q.append(index)
                 elif isinstance(exc, BrokenExecutor):
                     broken_suspects.append(index)
                 else:
@@ -683,6 +656,7 @@ __all__ = [
     "MapOutcome",
     "POISON",
     "POOL_BROKEN",
+    "PoisonError",
     "SupervisedPool",
     "SupervisorStats",
     "UnitFailure",

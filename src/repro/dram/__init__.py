@@ -34,7 +34,6 @@ from repro.dram.cells import (
 from repro.dram.refresh import RefreshController, AccessTrace
 from repro.dram.ecc import SecdedCode, DecodeStatus, DecodeResult
 from repro.dram.profiling import ProfilingCampaign, ProfilingRound, profile_bank
-from repro.dram.rank_ecc import RankEccLayout, scrub_board, scrub_rank
 from repro.dram.scrubber import PatrolReport, PatrolScrubber, pairup_probability
 from repro.dram.power import DramPowerModel, DramPowerBreakdown
 from repro.dram.controller import MemoryControlUnit
@@ -57,7 +56,6 @@ __all__ = [
     "PatternKind",
     "ProfilingCampaign",
     "ProfilingRound",
-    "RankEccLayout",
     "RefreshController",
     "RetentionModel",
     "RetentionParams",
@@ -67,6 +65,4 @@ __all__ = [
     "pairup_probability",
     "profile_bank",
     "sample_weak_cell_count",
-    "scrub_board",
-    "scrub_rank",
 ]

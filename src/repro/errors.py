@@ -33,9 +33,10 @@ class CampaignError(ReproError):
 class CampaignInterrupted(CampaignError):
     """A campaign study stopped before every shard completed.
 
-    Raised by the parallel engine when an (injected or real) interruption
-    cuts a ``--jobs N`` study short; completed shards are already in the
-    checkpoint, so a ``--resume`` rerun picks up where this one died.
+    Raised by the parallel engine when a fault plan's
+    ``interrupt_after_shards`` cuts a study short; completed shards are
+    already in the checkpoint, so a rerun with the same checkpoint picks
+    up where this one stopped.
     """
 
 

@@ -11,7 +11,6 @@ answer in any process, at any worker count, in any order.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.executor import CampaignExecutor
@@ -26,32 +25,19 @@ from repro.workloads.base import Workload
 VminTask = Tuple[int, ProcessCorner, Workload, int]
 
 
-def fault_injector_for(faults: Optional[int], shards: int,
-                       real_faults: Optional[int] = None
-                       ) -> Optional[FaultInjector]:
-    """The sharded drivers' ``--faults`` / ``--real-faults`` hook.
+def fault_injector_for(faults: Optional[int],
+                       units: int) -> Optional[FaultInjector]:
+    """The sharded drivers' ``--faults`` hook.
 
-    ``faults`` is a fault-plan seed (or ``None``) for *simulated*
-    losses: a seeded selection of work-unit attempts is killed and
-    transparently re-executed by the supervised engine. ``real_faults``
-    seeds :meth:`FaultPlan.random_real`: worker processes really
-    ``os._exit``, really sleep past the deadline -- exercising pool
-    rebuild and hang recovery for real. Either way results stay
-    identical to the clean run, which is the point: the flags
-    demonstrate (and test) harness robustness, not a different
+    ``faults`` seeds :meth:`FaultPlan.random` over ``units`` work units
+    (or is ``None``): worker processes really crash and hang, and the
+    supervised engine rebuilds the pool and re-issues the units. Results
+    stay identical to the clean run, which is the point: the flag
+    demonstrates (and tests) harness robustness, not a different
     experiment.
     """
-    if faults is None and real_faults is None:
-        return None
-    plan = (FaultPlan.random(faults, shards=shards)
-            if faults is not None else FaultPlan())
-    if real_faults is not None:
-        real = FaultPlan.random_real(real_faults, units=shards)
-        plan = replace(plan, unit_exits=real.unit_exits,
-                       unit_hangs=real.unit_hangs,
-                       poison_units=real.poison_units,
-                       hang_seconds=real.hang_seconds)
-    return FaultInjector(plan)
+    return None if faults is None \
+        else FaultInjector(FaultPlan.random(faults, units))
 
 
 def thermal_plan_for(thermal_faults: Optional[int],

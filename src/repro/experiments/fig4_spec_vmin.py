@@ -91,7 +91,6 @@ class Figure4Result:
 
 def run_figure4(seed: SeedLike = None, repetitions: int = 10,
                 jobs: int = 1, faults: Optional[int] = None,
-                real_faults: Optional[int] = None,
                 unit_timeout: Optional[float] = None,
                 max_retries: int = DEFAULT_MAX_RETRIES) -> Figure4Result:
     """Run the full Figure 4 campaign on the three reference parts.
@@ -99,23 +98,20 @@ def run_figure4(seed: SeedLike = None, repetitions: int = 10,
     The 3 chips x 10 programs = 30 Vmin ladders are independent work
     units; ``jobs > 1`` shards them across the supervised process pool
     with results identical to ``jobs=1`` at any worker count. ``faults``
-    seeds an injected worker-kill schedule and ``real_faults`` a
-    schedule of real worker exits/hangs (lost units re-execute; results
-    are unchanged -- see
+    seeds an injected schedule of worker crashes and hangs (lost units
+    re-execute; results are unchanged -- see
     :func:`repro.experiments.common.fault_injector_for`);
     ``unit_timeout`` / ``max_retries`` set the supervisor's per-unit
     deadline and retry budget.
     """
-    injected = faults is not None or real_faults is not None
-    base = resolve_seed(seed) if jobs > 1 or injected else seed
+    base = resolve_seed(seed) if jobs > 1 or faults is not None else seed
     suite = spec_suite()
     tasks: List[VminTask] = [(base, corner, workload, repetitions)
                              for corner in ProcessCorner
                              for workload in suite]
     results: List[VminResult] = parallel_map(
         vmin_search_unit, tasks, jobs=jobs,
-        fault_injector=fault_injector_for(faults, len(tasks),
-                                          real_faults=real_faults),
+        fault_injector=fault_injector_for(faults, len(tasks)),
         unit_timeout=unit_timeout, max_retries=max_retries)
     vmin_mv: Dict[str, Dict[str, float]] = {}
     reports: Dict[str, GuardbandReport] = {}

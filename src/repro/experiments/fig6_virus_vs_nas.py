@@ -86,7 +86,6 @@ class Figure6Result:
 def run_figure6(seed: SeedLike = None, repetitions: int = 10,
                 generations: int = 25, population: int = 32,
                 jobs: int = 1, faults: Optional[int] = None,
-                real_faults: Optional[int] = None,
                 unit_timeout: Optional[float] = None,
                 max_retries: int = DEFAULT_MAX_RETRIES) -> Figure6Result:
     """Evolve the virus and compare against NAS on the TTT part.
@@ -95,10 +94,9 @@ def run_figure6(seed: SeedLike = None, repetitions: int = 10,
     supervised process-parallel engine as the Vmin ladders, keyed by an
     integer seed derived from the campaign seed -- so the evolved virus
     is bit-identical at any ``jobs`` count (and survives injected worker
-    kills as well as real worker crashes and hangs). The virus-plus-NAS
-    Vmin ladders then fan out as independent units when ``jobs > 1``,
-    with results identical to the serial pass. ``faults`` /
-    ``real_faults`` seed injected simulated / real fault schedules (lost
+    crashes and hangs). The virus-plus-NAS Vmin ladders then fan out as
+    independent units when ``jobs > 1``, with results identical to the
+    serial pass. ``faults`` seeds an injected crash/hang schedule (lost
     units re-execute; results are unchanged); ``unit_timeout`` /
     ``max_retries`` set the supervisor's deadline and retry budget.
     """
@@ -107,16 +105,14 @@ def run_figure6(seed: SeedLike = None, repetitions: int = 10,
         (derive_seed(base, "fig6-ga"), generations, population, 3)]
     virus, _ = parallel_map(
         didt_search_unit, ga_tasks, jobs=jobs,
-        fault_injector=fault_injector_for(faults, len(ga_tasks),
-                                          real_faults=real_faults),
+        fault_injector=fault_injector_for(faults, len(ga_tasks)),
         unit_timeout=unit_timeout, max_retries=max_retries)[0]
     workloads = [virus_as_workload(virus)] + list(nas_suite())
     tasks: List[VminTask] = [(base, ProcessCorner.TTT, workload, repetitions)
                              for workload in workloads]
     results: List[VminResult] = parallel_map(
         vmin_search_unit, tasks, jobs=jobs,
-        fault_injector=fault_injector_for(faults, len(tasks),
-                                          real_faults=real_faults),
+        fault_injector=fault_injector_for(faults, len(tasks)),
         unit_timeout=unit_timeout, max_retries=max_retries)
     return Figure6Result(
         corner=ProcessCorner.TTT.value,

@@ -75,7 +75,6 @@ class Figure7Result:
 def run_figure7(seed: SeedLike = None, repetitions: int = 10,
                 generations: int = 25, population: int = 32,
                 jobs: int = 1, faults: Optional[int] = None,
-                real_faults: Optional[int] = None,
                 unit_timeout: Optional[float] = None,
                 max_retries: int = DEFAULT_MAX_RETRIES) -> Figure7Result:
     """Evolve one virus per chip and measure each on its own part.
@@ -84,10 +83,10 @@ def run_figure7(seed: SeedLike = None, repetitions: int = 10,
     gets its own EM-guided search. The three GA arms are independent
     work units keyed by integer seeds derived from the campaign seed,
     sharded through the same supervised process-parallel engine as the
-    Vmin ladders -- bit-identical at any ``jobs`` count. ``faults`` /
-    ``real_faults`` seed injected simulated / real fault schedules (lost
-    units re-execute; results unchanged); ``unit_timeout`` /
-    ``max_retries`` set the supervisor's deadline and retry budget.
+    Vmin ladders -- bit-identical at any ``jobs`` count. ``faults`` seeds
+    an injected crash/hang schedule (lost units re-execute; results
+    unchanged); ``unit_timeout`` / ``max_retries`` set the supervisor's
+    deadline and retry budget.
     """
     base = resolve_seed(seed)
     corners = list(ProcessCorner)
@@ -96,16 +95,14 @@ def run_figure7(seed: SeedLike = None, repetitions: int = 10,
         for idx in range(len(corners))]
     viruses = [virus for virus, _ in parallel_map(
         didt_search_unit, ga_tasks, jobs=jobs,
-        fault_injector=fault_injector_for(faults, len(ga_tasks),
-                                          real_faults=real_faults),
+        fault_injector=fault_injector_for(faults, len(ga_tasks)),
         unit_timeout=unit_timeout, max_retries=max_retries)]
     tasks: List[VminTask] = [
         (base, corner, virus_as_workload(virus), repetitions)
         for corner, virus in zip(corners, viruses)]
     results = parallel_map(
         vmin_search_unit, tasks, jobs=jobs,
-        fault_injector=fault_injector_for(faults, len(tasks),
-                                          real_faults=real_faults),
+        fault_injector=fault_injector_for(faults, len(tasks)),
         unit_timeout=unit_timeout, max_retries=max_retries)
     vmin_mv: Dict[str, float] = {
         corner.value: result.safe_vmin_mv

@@ -9,13 +9,13 @@ rows, no matter what faults were injected along the way.
 
 This is the harness-robustness demonstration the paper's framework
 section is about: the benchmark results are unremarkable on purpose; the
-point is that they *survive* worker deaths, spurious watchdog power
-cycles, transport corruption/loss bursts and whole-study interruptions.
+point is that they *survive* worker crashes and hangs, transport
+corruption/loss bursts and reruns from a checkpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.campaign import Campaign, CampaignPlan
@@ -88,13 +88,11 @@ class PipelineResult:
         lines.extend(format_quarantine_lines(self.failures))
         if self.fault_stats is not None:
             lines.append(
-                f"injected faults: {self.fault_stats.worker_kills} worker "
-                f"kills, {self.fault_stats.spurious_escalations} spurious "
-                f"escalations, {self.fault_stats.corrupted_frames} corrupted "
-                f"frames, {self.fault_stats.dropped_packets} dropped packets, "
-                f"{self.fault_stats.unit_exits} worker exits, "
+                f"injected faults: {self.fault_stats.unit_exits} crashes, "
                 f"{self.fault_stats.unit_hangs} hangs, "
-                f"{self.fault_stats.poison_raises} poison raises")
+                f"{self.fault_stats.poison_raises} poison raises, "
+                f"{self.fault_stats.corrupted_frames} corrupted frames, "
+                f"{self.fault_stats.dropped_packets} dropped packets")
         lines.append("exactly-once contract: "
                      + ("OK (cloud rows == executed rows)"
                         if self.exactly_once else "VIOLATED"))
@@ -115,7 +113,6 @@ def run_pipeline(seed: SeedLike = None, benchmarks: int = 4,
                  start_mv: float = 980.0, stop_mv: float = 880.0,
                  step_mv: float = 20.0, transport: str = "network",
                  faults: Optional[int] = None,
-                 real_faults: Optional[int] = None,
                  unit_timeout: Optional[float] = None,
                  max_retries: int = DEFAULT_MAX_RETRIES,
                  resume_dir: Optional[str] = None,
@@ -123,17 +120,12 @@ def run_pipeline(seed: SeedLike = None, benchmarks: int = 4,
     """Run the full execution -> transport -> cloud pipeline once.
 
     ``faults`` seeds a :meth:`FaultPlan.random` schedule injected into
-    both the engine and the transport; ``real_faults`` seeds a
-    :meth:`FaultPlan.random_real` schedule of *real* process-level
-    faults (worker ``os._exit``, deadline hangs) the supervised engine
-    recovers from; ``unit_timeout`` / ``max_retries`` set the
-    supervisor's per-shard deadline and retry budget. ``resume_dir``
-    checkpoints completed campaign shards there and resumes any that
-    already finished (quarantined shards are skipped and their typed
-    failures resurfaced). Raises
-    :class:`~repro.errors.CampaignInterrupted` if the fault plan injects
-    a study-level interruption (rerun with the same ``resume_dir`` to
-    finish).
+    both the engine (worker crashes and hangs the supervisor recovers
+    from) and the transport (corruption/loss bursts); ``unit_timeout``
+    / ``max_retries`` set the supervisor's per-shard deadline and retry
+    budget. ``resume_dir`` checkpoints completed campaign shards there
+    and resumes any that already finished (quarantined shards are
+    skipped and their typed failures resurfaced).
     """
     if transport not in TRANSPORTS:
         raise CampaignError(f"unknown transport {transport!r}; "
@@ -144,18 +136,8 @@ def run_pipeline(seed: SeedLike = None, benchmarks: int = 4,
                                    stop_mv, step_mv)
     total_rows = sum(len(c.runs) for c in campaigns) * repetitions
 
-    injector = None
-    if faults is not None or real_faults is not None:
-        plan = (FaultPlan.random(faults, shards=len(campaigns),
-                                 rows=total_rows, max_depth=3)
-                if faults is not None else FaultPlan())
-        if real_faults is not None:
-            real = FaultPlan.random_real(real_faults, units=len(campaigns))
-            plan = replace(plan, unit_exits=real.unit_exits,
-                           unit_hangs=real.unit_hangs,
-                           poison_units=real.poison_units,
-                           hang_seconds=real.hang_seconds)
-        injector = FaultInjector(plan)
+    injector = None if faults is None else FaultInjector(
+        FaultPlan.random(faults, len(campaigns), rows=total_rows))
     checkpoint = CampaignCheckpoint(resume_dir) if resume_dir else None
 
     engine = ParallelCampaignExecutor(chip, seed=base, jobs=jobs,

@@ -211,7 +211,6 @@ def run_table1(seed: SeedLike = None,
                sample_devices: int = 72,
                regulate: bool = True,
                jobs: int = 1, faults: Optional[int] = None,
-               real_faults: Optional[int] = None,
                unit_timeout: Optional[float] = None,
                max_retries: int = DEFAULT_MAX_RETRIES,
                thermal_faults: Optional[int] = None,
@@ -238,8 +237,8 @@ def run_table1(seed: SeedLike = None,
     contiguous device chunks; per-bank sampling is substream-seeded per
     (device, bank), so the merged totals are identical to the serial
     pass at any worker count. Thermal regulation stays in the parent.
-    Execution is supervised: ``faults`` / ``real_faults`` seed injected
-    simulated / real fault schedules the engine recovers from, and
+    Execution is supervised: ``faults`` seeds an injected crash/hang
+    schedule the engine recovers from, and
     ``unit_timeout`` / ``max_retries`` set its deadline and retry
     budget.
     """
@@ -275,14 +274,12 @@ def run_table1(seed: SeedLike = None,
             excluded = tuple(d for d in range(sample_devices)
                              if zone_map.zone_of_device(d) in bad_zones)
 
-    injected = faults is not None or real_faults is not None
-    base = resolve_seed(seed) if jobs > 1 or injected else seed
+    base = resolve_seed(seed) if jobs > 1 or faults is not None else seed
     tasks = [(base, chunk, tuple(temps_c))
              for chunk in _device_chunks(devices, jobs)]
     shards = parallel_map(
         _profile_device_chunk, tasks, jobs=jobs,
-        fault_injector=fault_injector_for(faults, len(tasks),
-                                          real_faults=real_faults),
+        fault_injector=fault_injector_for(faults, len(tasks)),
         unit_timeout=unit_timeout, max_retries=max_retries)
 
     counts: Dict[float, Tuple[int, ...]] = {}

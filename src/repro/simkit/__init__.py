@@ -7,8 +7,6 @@ its watchdog/reset switch, and the Jammer detector's QoS accounting.
 
 - :class:`~repro.simkit.events.Simulator` -- a priority-queue event loop
   with deterministic tie-breaking.
-- :class:`~repro.simkit.process.Process` -- generator-based cooperative
-  processes (``yield delay`` to advance time).
 - :class:`~repro.simkit.resources.Resource` -- a counted resource with a
   FIFO wait queue, used to model cores occupied by benchmark runs.
 
@@ -18,7 +16,6 @@ order.
 """
 
 from repro.simkit.events import Event, Simulator
-from repro.simkit.process import Process, sleep
 from repro.simkit.resources import Resource
 
-__all__ = ["Event", "Simulator", "Process", "Resource", "sleep"]
+__all__ = ["Event", "Simulator", "Resource"]

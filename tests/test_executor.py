@@ -67,14 +67,6 @@ def test_campaign_stop_on_unsafe(ttt_executor):
     assert len(records) < len(campaign.runs)
 
 
-def test_execute_all_runs_every_campaign(ttt_executor):
-    plan = CampaignPlan().add_workloads(
-        [spec_workload("mcf"), spec_workload("gcc")])
-    plan.add_setup(CharacterizationSetup(voltage_mv=980.0, repetitions=2))
-    records = ttt_executor.execute_all(plan.build())
-    assert len(records) == 2
-
-
 def test_executor_deterministic(ttt_chip):
     a = CampaignExecutor(ttt_chip, seed=5).execute_run(make_run(922.0, reps=10))
     b = CampaignExecutor(ttt_chip, seed=5).execute_run(make_run(922.0, reps=10))

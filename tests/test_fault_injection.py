@@ -1,15 +1,11 @@
 """The deterministic fault-injection harness (repro.core.faults)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.faults import (
-    SPURIOUS_ESCALATION,
-    WORKER_KILL,
-    FaultBurst,
-    FaultInjector,
-    FaultPlan,
-)
+from repro.core.faults import FaultBurst, FaultInjector, FaultPlan
 from repro.core.parallel import parallel_map
+from repro.core.supervisor import CRASH, HANG, POISON, supervised_map
 from repro.errors import CampaignError
 
 
@@ -42,9 +38,9 @@ def test_burst_validation():
 # ----------------------------------------------------------------------
 def test_plan_validation():
     with pytest.raises(CampaignError):
-        FaultPlan(shard_kills=((-1, 1),))
+        FaultPlan(unit_exits=((-1, 1),))
     with pytest.raises(CampaignError):
-        FaultPlan(shard_escalations=((0, 0),))
+        FaultPlan(unit_hangs=((0, 0),))
     with pytest.raises(CampaignError):
         FaultPlan(interrupt_after_shards=0)
 
@@ -57,14 +53,14 @@ def test_plan_max_transport_depth():
 
 
 def test_random_plan_is_reproducible():
-    a = FaultPlan.random(99, shards=6, rows=120)
-    b = FaultPlan.random(99, shards=6, rows=120)
+    a = FaultPlan.random(99, units=6, rows=120)
+    b = FaultPlan.random(99, units=6, rows=120)
     assert a == b
-    assert a != FaultPlan.random(100, shards=6, rows=120)
+    assert a != FaultPlan.random(100, units=6, rows=120)
 
 
 def test_random_plan_places_bursts_inside_row_range():
-    plan = FaultPlan.random(3, shards=4, rows=50, max_depth=3)
+    plan = FaultPlan.random(3, units=4, rows=50)
     for burst in plan.corruption_bursts + plan.loss_bursts:
         assert 0 <= burst.first_row < 50
         assert 1 <= burst.depth <= 3
@@ -72,28 +68,32 @@ def test_random_plan_places_bursts_inside_row_range():
 
 
 def test_random_plan_without_rows_has_no_bursts():
-    plan = FaultPlan.random(3, shards=4, rows=0)
+    plan = FaultPlan.random(3, units=4, rows=0)
     assert plan.corruption_bursts == () and plan.loss_bursts == ()
 
 
 def test_random_plan_needs_shards():
     with pytest.raises(CampaignError):
-        FaultPlan.random(1, shards=0)
+        FaultPlan.random(1, units=0)
 
 
 # ----------------------------------------------------------------------
 # FaultInjector
 # ----------------------------------------------------------------------
-def test_shard_fault_order_kills_then_escalations_then_survival():
-    injector = FaultInjector(FaultPlan(shard_kills=((0, 2),),
-                                       shard_escalations=((0, 1),)))
-    assert injector.shard_fault(0, 0) == WORKER_KILL
-    assert injector.shard_fault(0, 1) == WORKER_KILL
-    assert injector.shard_fault(0, 2) == SPURIOUS_ESCALATION
-    assert injector.shard_fault(0, 3) is None
-    assert injector.shard_fault(1, 0) is None      # unlisted shard survives
-    assert injector.stats.worker_kills == 2
-    assert injector.stats.spurious_escalations == 1
+def test_unit_fault_order_crashes_then_hangs_then_poison():
+    injector = FaultInjector(FaultPlan(unit_exits=((0, 2),),
+                                       unit_hangs=((0, 1),),
+                                       poison_units=(1,)))
+    assert injector.unit_fault(0, 0) == CRASH
+    assert injector.unit_fault(0, 1) == CRASH
+    assert injector.unit_fault(0, 2) == HANG
+    assert injector.unit_fault(0, 3) is None
+    assert injector.unit_fault(1, 5) == POISON     # poison never relents
+    assert injector.unit_fault(2, 0) is None       # unlisted unit survives
+    assert injector.unit_fault(0, 0) == CRASH      # replays are not recounted
+    assert injector.stats.unit_exits == 2
+    assert injector.stats.unit_hangs == 1
+    assert injector.stats.poison_raises == 1
 
 
 def test_transport_decisions_are_pure_of_index_and_attempt():
@@ -118,15 +118,33 @@ def test_interrupt_due_threshold():
 
 
 # ----------------------------------------------------------------------
-# parallel_map under injected kills
+# parallel_map / supervised_map under injected crashes and hangs
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_parallel_map_reexecutes_killed_units(jobs):
-    plan = FaultPlan(shard_kills=((0, 2), (3, 1)),
-                     shard_escalations=((1, 1),))
+    plan = FaultPlan(unit_exits=((0, 2), (3, 1)), unit_hangs=((1, 1),),
+                     hang_seconds=0.2)
     injector = FaultInjector(plan)
     items = list(range(5))
     assert parallel_map(_square, items, jobs=jobs,
                         fault_injector=injector) == [0, 1, 4, 9, 16]
-    assert injector.stats.worker_kills == 3
-    assert injector.stats.spurious_escalations == 1
+    assert injector.stats.unit_exits == 3
+    assert injector.stats.unit_hangs == 1
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("jobs", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), units=st.integers(1, 6))
+def test_random_plan_without_poison_never_quarantines(jobs, seed, units):
+    """At most one crash and one hang per unit stays inside the default
+    retry budget, so a poison-free plan always converges to clean
+    results -- with real crashes and hangs in a pool as well as inline."""
+    plan = FaultPlan.random(seed, units, poison_rate=0.0)
+    outcome = supervised_map(_square, list(range(units)), jobs=jobs,
+                             inject=FaultInjector(plan).unit_fault,
+                             hang_seconds=plan.hang_seconds)
+    assert outcome.failures == ()
+    assert outcome.values == tuple(x * x for x in range(units))
+    assert outcome.stats.crashes == sum(n for _, n in plan.unit_exits)
+    assert outcome.stats.hangs == sum(n for _, n in plan.unit_hangs)

@@ -119,15 +119,6 @@ def test_parallel_rows_identical_to_serial(jobs):
         assert [r.wall_time_s for r in ours] == [r.wall_time_s for r in reference]
 
 
-def test_parallel_execute_all_flattens_in_order():
-    campaigns = _small_campaigns()
-    engine = ParallelCampaignExecutor(_chip(), seed=11, jobs=2)
-    flat = engine.execute_all(campaigns)
-    nested, _ = _serial_reference(campaigns, seed=11)
-    assert [r.counts for r in flat] == \
-        [r.counts for records in nested for r in records]
-
-
 def test_parallel_map_preserves_order():
     assert parallel_map(str, [3, 1, 2], jobs=1) == ["3", "1", "2"]
     assert parallel_map(abs, [-5, -1, -3], jobs=2) == [5, 1, 3]

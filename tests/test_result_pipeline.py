@@ -2,9 +2,9 @@
 checkpoint/resume.
 
 The acceptance property of the fault harness: a pipeline run under *any*
-seeded :class:`FaultPlan` -- worker kills, spurious watchdog
-escalations, transport corruption/loss bursts, a study interruption --
-converges to a cloud store bit-identical to the clean ``jobs=1`` run.
+seeded :class:`FaultPlan` -- worker crashes and hangs, transport
+corruption/loss bursts, a study interruption -- converges to a cloud
+store bit-identical to the clean ``jobs=1`` run.
 """
 
 import pytest
@@ -81,14 +81,14 @@ def test_colliding_run_ids_from_two_campaigns_both_reach_cloud():
 def test_faulted_engine_rows_bit_identical_to_clean_run(fault_seed):
     campaigns = _campaigns()
     clean = _clean_rows(campaigns)
-    plan = FaultPlan.random(fault_seed, shards=len(campaigns))
+    plan = FaultPlan.random(fault_seed, len(campaigns))
     injector = FaultInjector(plan)
     engine = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=2,
                                       fault_injector=injector)
     engine.execute_campaigns(campaigns)
     assert engine.store.rows() == clean
     # The plan actually did something, or the test proves nothing.
-    assert plan.shard_kills or plan.shard_escalations
+    assert plan.unit_exits or plan.unit_hangs
 
 
 # ----------------------------------------------------------------------
@@ -98,8 +98,7 @@ def test_faulted_engine_rows_bit_identical_to_clean_run(fault_seed):
 def test_faulted_transport_converges_to_clean_contents(transport):
     campaigns = _campaigns()
     clean = _clean_rows(campaigns)
-    plan = FaultPlan.random(5, shards=len(campaigns), rows=len(clean),
-                            max_depth=3)
+    plan = FaultPlan.random(5, len(campaigns), rows=len(clean))
     injector = FaultInjector(plan)
     engine = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=2,
                                       fault_injector=injector)
@@ -175,11 +174,11 @@ def test_fully_checkpointed_study_executes_nothing(tmp_path):
 
 
 def test_run_pipeline_interrupt_and_resume(tmp_path):
-    """The --faults/--resume CLI flow end to end: an interrupted faulted
-    study, resumed twice, lands the clean run's exact CSV."""
+    """An interrupted faulted study, finished through the driver's
+    --resume path, lands the clean run's exact CSV."""
     clean = run_pipeline(seed=9, benchmarks=2, repetitions=2, jobs=1)
 
-    # A plan that kills shard 0 once and interrupts after 1 completion.
+    # A plan that crashes shard 0 once and interrupts after 1 completion.
     # (run_pipeline derives plans from a seed; drive the engine directly
     # for the interrupt, then finish with the driver's --resume path.)
     checkpoint_dir = str(tmp_path)
@@ -188,7 +187,7 @@ def test_run_pipeline_interrupt_and_resume(tmp_path):
 
     chip = build_reference_chips(seed=9)[ProcessCorner.TTT]
     campaigns = _declare_campaigns(2, 2, 980.0, 880.0, 20.0)
-    injector = FaultInjector(FaultPlan(shard_kills=((0, 1),),
+    injector = FaultInjector(FaultPlan(unit_exits=((0, 1),),
                                        interrupt_after_shards=1))
     engine = ParallelCampaignExecutor(chip, seed=9, jobs=2,
                                       fault_injector=injector,

@@ -82,11 +82,11 @@ class _UnbuildablePool(SupervisedPool):
 def test_unit_legitimately_returning_old_sentinel_value(jobs):
     """Regression: the old engine compared results by value against
     UNIT_KILLED, so a unit returning an equal tuple retried forever."""
-    injector = FaultInjector(FaultPlan(shard_kills=((0, 1),)))
+    injector = FaultInjector(FaultPlan(unit_exits=((0, 1),)))
     out = parallel_map(_legacy_sentinel, [0, 1, 2], jobs=jobs,
                        fault_injector=injector)
     assert out == [("repro.core.parallel:unit-killed",)] * 3
-    assert injector.stats.worker_kills == 1
+    assert injector.stats.unit_exits == 1
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +224,7 @@ def test_degraded_inline_still_honors_the_injected_plan():
 @given(seed=st.integers(0, 2**32 - 1), units=st.integers(1, 8),
        poison_rate=st.sampled_from([0.0, 0.3, 0.7]))
 def test_any_seeded_real_plan_converges_inline(seed, units, poison_rate):
-    plan = FaultPlan.random_real(seed, units, poison_rate=poison_rate)
+    plan = FaultPlan.random(seed, units, poison_rate=poison_rate)
     outcome = supervised_map(_square, list(range(units)), jobs=1,
                              inject=FaultInjector(plan).unit_fault,
                              hang_seconds=plan.hang_seconds)
@@ -247,7 +247,7 @@ def test_any_seeded_real_plan_converges_inline(seed, units, poison_rate):
 # ----------------------------------------------------------------------
 # Campaign engine: the ISSUE's acceptance criterion end to end
 # ----------------------------------------------------------------------
-def test_campaign_study_under_real_faults_matches_clean_serial():
+def test_campaign_study_under_faults_matches_clean_serial():
     """--jobs 4 study under exit+hang+poison: surviving shards
     bit-identical to the clean serial run, poisoned shard quarantined as
     a typed UnitFailure, nothing raw escaping."""
@@ -365,7 +365,7 @@ def test_checkpoint_quarantine_manifest_roundtrip(tmp_path):
 @pytest.mark.parametrize("fault_seed", [1, 2, 3])
 def test_real_fault_equivalence_stress(fault_seed):
     units = 10
-    plan = FaultPlan.random_real(fault_seed, units, poison_rate=0.2)
+    plan = FaultPlan.random(fault_seed, units, poison_rate=0.2)
     reference = supervised_map(_square, list(range(units)), jobs=1,
                                inject=FaultInjector(plan).unit_fault,
                                hang_seconds=plan.hang_seconds)
@@ -380,10 +380,9 @@ def test_real_fault_equivalence_stress(fault_seed):
 
 
 @pytest.mark.slow
-def test_campaign_stress_real_faults_at_jobs_4():
+def test_campaign_stress_faults_at_jobs_4():
     campaigns = _campaigns()
-    plan = FaultPlan.random_real(9, units=len(campaigns), poison_rate=0.0,
-                                 hang_seconds=0.2)
+    plan = FaultPlan.random(9, units=len(campaigns), poison_rate=0.0)
     clean = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=1)
     clean.execute_campaigns(campaigns)
     engine = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=STRESS_JOBS,

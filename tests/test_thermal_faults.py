@@ -126,13 +126,6 @@ def test_random_thermal_unrecoverable_rate():
     assert all(f.duration_s is None for f in plan.thermal_faults)
 
 
-def test_random_real_folds_in_thermal_faults():
-    plan = FaultPlan.random_real(7, units=4, thermal_zones=8,
-                                 thermal_unrecoverable_rate=0.0)
-    assert plan.thermal_faults == FaultPlan.random_thermal(
-        7, zones=8).thermal_faults
-
-
 def test_fault_plan_rejects_non_thermal_fault_entries():
     with pytest.raises(CampaignError):
         FaultPlan(thermal_faults=("tc-stuck",))
