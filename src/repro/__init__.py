@@ -5,8 +5,9 @@ The library simulates the paper's X-Gene2 testbed end to end -- sigma
 chips with calibrated Vmin behaviour, a PDN/EM model, GA-evolved dI/dt
 viruses, a DRAM retention substrate with real SECDED ECC, and the
 PID-controlled thermal testbed -- plus the characterization framework
-and the exploitation pipeline that turn measurements into safe operating
-points and energy savings.
+(run end to end by ``python -m repro pipeline``) and the exploitation
+pipeline that turn measurements into safe operating points and energy
+savings.
 
 Quick start::
 
@@ -44,7 +45,7 @@ from repro.core import (
     select_safe_points,
 )
 from repro.errors import SupervisionError
-from repro.viruses import evolve_didt_virus, dpbench_suite, all_component_viruses
+from repro.viruses import evolve_didt_virus
 from repro.dram import (
     BitErrorModel,
     DramPowerModel,
@@ -84,10 +85,8 @@ __all__ = [
     "VminSearch",
     "XGene2Platform",
     "__version__",
-    "all_component_viruses",
     "build_platform",
     "build_reference_chips",
-    "dpbench_suite",
     "evolve_didt_virus",
     "figure5_mix",
     "guardband_report",

@@ -5,12 +5,10 @@ headline numbers:
 
 - :mod:`repro.analysis.tradeoff` -- the Figure 5 power/performance
   ladder (per-PMD frequency scaling against a shared voltage rail);
-- :mod:`repro.analysis.energy` -- energy/power reduction arithmetic;
 - :mod:`repro.analysis.server_power` -- per-domain server power at an
   operating point (the Figure 9 accounting).
 """
 
-from repro.analysis.energy import energy_savings_pct, power_savings_pct
 from repro.analysis.reporting import ReproductionReport, build_report
 from repro.analysis.scheduling import (
     PlacementPlan,
@@ -27,10 +25,8 @@ __all__ = [
     "ServerPowerReport",
     "TradeoffPoint",
     "build_report",
-    "energy_savings_pct",
     "plan_naive",
     "plan_placement",
-    "power_savings_pct",
     "scheduling_advantage",
     "server_power_report",
     "tradeoff_ladder",

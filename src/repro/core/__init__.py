@@ -14,6 +14,10 @@ execution at those conditions. It has three phases:
   crash / hang and emit the final CSV: :mod:`repro.core.classify`,
   :mod:`repro.core.results`.
 
+The three phases run end to end in one place,
+:func:`repro.experiments.pipeline.run_pipeline` (``python -m repro
+pipeline``); the figure drivers run the execution engine directly.
+
 On top of the framework sit the analyses the paper builds from it:
 Vmin search (:mod:`repro.core.vmin`), guardband/margin accounting
 (:mod:`repro.core.margins`), safe-operating-point selection
@@ -21,11 +25,6 @@ Vmin search (:mod:`repro.core.vmin`), guardband/margin accounting
 (:mod:`repro.core.predictor`, after reference [11]).
 """
 
-from repro.core.attribution import (
-    AttributionReport,
-    FailureRegion,
-    run_attribution,
-)
 from repro.core.campaign import (
     Campaign,
     CampaignPlan,
@@ -52,7 +51,6 @@ from repro.core.supervisor import (
     UnitFailure,
     supervised_map,
 )
-from repro.core.framework import CharacterizationFramework, ChipStudy
 from repro.core.governor import GovernorReport, VoltageGovernor
 from repro.core.executor import CampaignExecutor, RunRecord
 from repro.core.parallel import ParallelCampaignExecutor, parallel_map
@@ -72,7 +70,6 @@ from repro.core.safepoints import SafeOperatingPoint, select_safe_points
 from repro.core.predictor import VminPredictor, PredictorReport
 
 __all__ = [
-    "AttributionReport",
     "Campaign",
     "CampaignCheckpoint",
     "CampaignExecutor",
@@ -82,14 +79,11 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultStats",
-    "CharacterizationFramework",
     "CharacterizationRun",
     "CharacterizationSetup",
-    "ChipStudy",
     "CloudStore",
     "DroopHistory",
     "FailureProbabilityModel",
-    "FailureRegion",
     "GovernorReport",
     "GuardbandReport",
     "MapOutcome",
@@ -119,7 +113,6 @@ __all__ = [
     "idle_vmin_mv",
     "parallel_map",
     "result_fields",
-    "run_attribution",
     "select_safe_points",
     "summarize",
     "supervised_map",

@@ -8,10 +8,8 @@ exercises:
 - kernels/loops and an execution model that turns an instruction loop
   into a per-cycle supply-current waveform plus performance counters
   (:mod:`repro.cpu.execution`),
-- a low-voltage SRAM fault model for the cache hierarchy
-  (:mod:`repro.cpu.sram`),
-- fault-to-outcome classification shared with the campaign framework
-  (:mod:`repro.cpu.outcomes`, :mod:`repro.cpu.faults`).
+- the run-outcome taxonomy shared with the campaign framework
+  (:mod:`repro.cpu.outcomes`).
 """
 
 from repro.cpu.isa import (
@@ -23,22 +21,16 @@ from repro.cpu.isa import (
 from repro.cpu.kernels import InstructionLoop, square_wave_loop
 from repro.cpu.execution import ExecutionModel, ExecutionProfile, PerfCounters
 from repro.cpu.outcomes import RunOutcome
-from repro.cpu.sram import SramArray, SramFaultModel
-from repro.cpu.faults import FaultSite, classify_fault
 
 __all__ = [
     "ExecutionModel",
     "ExecutionProfile",
-    "FaultSite",
     "INSTRUCTION_SPECS",
     "InstrClass",
     "InstructionLoop",
     "InstructionSpec",
     "PerfCounters",
     "RunOutcome",
-    "SramArray",
-    "SramFaultModel",
-    "classify_fault",
     "spec_of",
     "square_wave_loop",
 ]

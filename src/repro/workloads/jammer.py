@@ -197,16 +197,14 @@ class JammerDetector:
         injected = detected = false_alarms = 0
         max_latency = 0.0
         for fe, dets in zip(frontends, detections):
-            matched_dets = set()
             for start, end, channel in fe.bursts:
                 injected += 1
-                hits = [t for j, (t, ch) in enumerate(dets)
-                        if ch == channel and start <= t <= end + self.config.qos_latency_s
-                        and j not in matched_dets]
+                hits = [t for t, ch in dets
+                        if ch == channel and start <= t <= end + self.config.qos_latency_s]
                 if hits:
                     detected += 1
                     max_latency = max(max_latency, min(hits) - start)
-            for j, (t, ch) in enumerate(dets):
+            for t, ch in dets:
                 in_burst = any(ch == channel and start <= t <= end + self.config.qos_latency_s
                                for start, end, channel in fe.bursts)
                 if not in_burst:

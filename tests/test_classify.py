@@ -1,4 +1,4 @@
-"""Run-log classification (the parsing phase)."""
+"""Run-log classification (the parsing phase) and the outcome taxonomy."""
 
 import pytest
 
@@ -77,3 +77,21 @@ def test_as_row_covers_all_outcomes():
     assert set(row) == {o.value for o in RunOutcome}
     assert row["hang"] == 1
     assert row["correct"] == 0
+
+
+def test_outcome_safety_partition():
+    safe = {o for o in RunOutcome if o.is_safe}
+    assert safe == {RunOutcome.CORRECT, RunOutcome.CORRECTED_ERROR}
+
+
+def test_outcome_failure_flag():
+    assert not RunOutcome.CORRECT.is_failure
+    for o in RunOutcome:
+        if o is not RunOutcome.CORRECT:
+            assert o.is_failure
+
+
+def test_outcome_reset_requirement():
+    assert RunOutcome.CRASH.needs_reset
+    assert RunOutcome.HANG.needs_reset
+    assert not RunOutcome.SDC.needs_reset

@@ -46,11 +46,10 @@ def test_public_classes_and_functions_documented(module_name):
 
 
 def test_public_methods_documented_in_key_classes():
-    from repro.core.framework import CharacterizationFramework
     from repro.core.vmin import VminSearch
     from repro.dram.ecc import SecdedCode
     from repro.soc.chip import Chip
-    for cls in (Chip, SecdedCode, VminSearch, CharacterizationFramework):
+    for cls in (Chip, SecdedCode, VminSearch):
         for name, member in vars(cls).items():
             if name.startswith("_") or not callable(member):
                 continue
